@@ -1,7 +1,7 @@
 """Momentum-space lattice simulator for a thermostatted fluctuating scalar
 field, with correlator reconstruction and a truncated Fock operator algebra."""
 
-from .action import BathParams, MatterActionKind, extended_action, matter_action, matter_grad, total_action
+from .action import BathParams, MatterActionKind, extended_action, matter_action, matter_grad
 from .dynamics import (
     ExtendedState,
     IntegratorParams,
@@ -14,26 +14,21 @@ from .dynamics import (
     sample_stream,
 )
 from .estimators import (
+    BatchMeans,
     CorrelatorAccumulator,
     CorrelatorGrid,
     CovarianceAccumulator,
     EstimatorError,
     GridSpec,
     MgfAccumulator,
-    RunningMoments,
     VarianceAccumulator,
-    average,
-    correlator,
     default_batch_len,
-    mgf_covariance_check,
-    mode_covariance,
 )
 from .lattice import (
     FixedShell,
     GlobalDynamicShell,
     LocalDynamicShell,
     MomentumLattice,
-    effective_mass,
     frequencies,
     omega,
 )
@@ -52,7 +47,6 @@ from .operator_algebra import (
     commutator_check,
     creation_matrix,
     field_operator,
-    gram,
     gram_exact,
     gram_sampled,
     microcausality_ratio,
@@ -64,8 +58,6 @@ from .operator_algebra import (
 from .oracles import (
     ExactCovariance,
     OracleUnavailableError,
-    QuadratureError,
-    continuum_wightman,
     exact_covariance,
     expected_correlator,
     pauli_jordan_discrete,

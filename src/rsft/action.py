@@ -83,16 +83,3 @@ def extended_action(
         + matter_action(kind, phi)
         + (bath.n_f / bath.beta) * math.log(s)
     )
-
-
-def total_action(
-    phi: np.ndarray,
-    pi_phi: np.ndarray,
-    s: float,
-    pi_s: float,
-    s0: float,
-    kind: MatterActionKind,
-    bath: BathParams,
-) -> float:
-    """Conserved total action s * (S_x - S_0); exactly 0 at the initial state."""
-    return s * (extended_action(phi, pi_phi, s, pi_s, kind, bath) - s0)

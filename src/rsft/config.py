@@ -8,7 +8,7 @@ naming the offending line and key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .action import BathParams, MatterActionKind
@@ -252,8 +252,10 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         fail("dynamics.batch_len", "must be at least 1")
     if cfg.seed < 0 or cfg.seed >= 2**64:
         fail("seed", "must fit in 64 unsigned bits")
-    if cfg.grid_t_points < 1 or cfg.grid_x_points < 1:
-        fail("grid.t_points", "grid point counts must be at least 1")
+    if cfg.grid_t_points < 1:
+        fail("grid.t_points", "must be at least 1")
+    if cfg.grid_x_points < 1:
+        fail("grid.x_points", "must be at least 1")
     if cfg.grid_axis not in (1, 2, 3):
         fail("grid.axis", "must be 1, 2 or 3")
     if cfg.covariance_n_sites < 1 or cfg.covariance_n_sites > 64:
@@ -336,9 +338,3 @@ def parse_config(text: str) -> RunConfig:
 def config_from_file(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-def with_overrides(cfg: RunConfig, **changes) -> RunConfig:
-    updated = replace(cfg, **changes)
-    _validate(updated, {})
-    return updated

@@ -1,16 +1,19 @@
 """Trajectory-average estimators with batch-means error bars.
 
 All estimators are streaming accumulators fed one field snapshot at a time,
-so figure-scale runs never hold the sample history in memory.  Statistical
-errors come from batch means over contiguous fixed-length batches; at least
-eight complete batches are required before an error bar is reported.
-Accumulators over disjoint sample ranges merge associatively.
+so figure-scale runs never hold the sample history in memory.  Each one maps
+a snapshot to an observable (squares, a product block, exponential source
+moments, phased field sums) and feeds it to BatchMeans, the single
+batch-means core: a running total, contiguous fixed-length batches with an
+optional projection of each batch mean, and a standard error that is
+reported only once at least eight complete batches exist.  Accumulators
+over consecutive disjoint sample ranges merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,117 +34,55 @@ def default_batch_len(sampling_steps: int, thin_stride: int) -> int:
     return max(100, sampling_steps // (64 * max(1, thin_stride)))
 
 
-def _batch_stderr(batch_means: np.ndarray) -> tuple[float, float] | None:
-    if batch_means.shape[0] < MIN_BATCHES:
-        return None
-    n = batch_means.shape[0]
-    se_re = float(np.std(batch_means.real, ddof=1) / np.sqrt(n))
-    se_im = float(np.std(batch_means.imag, ddof=1) / np.sqrt(n))
-    return se_re, se_im
+class BatchMeans:
+    """Streaming mean of an array-valued, possibly complex, observable with
+    batch-means standard errors; every accumulator in the package is an
+    observable map over this one core.
 
+    Each added value goes into a running total and into the current batch
+    of batch_len consecutive samples.  A completed batch mean is passed
+    through the optional projection before it is stored, so a (T, N)
+    observable can keep (T, S) batch grids; mean() applies the same
+    projection to the running mean.  Accumulators over consecutive disjoint
+    sample ranges merge when the left one ends on a batch boundary.
+    """
 
-class RunningMoments:
-    """Streaming mean of a scalar observable with batch-means errors."""
-
-    def __init__(self, batch_len: int):
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        batch_len: int,
+        dtype=float,
+        project: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         if batch_len < 1:
             raise ValueError("batch_len must be at least 1")
         self.batch_len = batch_len
-        self.count = 0
-        self._total = 0.0 + 0.0j
-        self._batch_total = 0.0 + 0.0j
-        self._batch_count = 0
-        self._batch_means: list[complex] = []
-
-    def add(self, value) -> None:
-        value = complex(value)
-        self.count += 1
-        self._total += value
-        self._batch_total += value
-        self._batch_count += 1
-        if self._batch_count == self.batch_len:
-            self._batch_means.append(self._batch_total / self.batch_len)
-            self._batch_total = 0.0 + 0.0j
-            self._batch_count = 0
-
-    def merge(self, other: "RunningMoments") -> None:
-        """Absorb an accumulator over a later, disjoint sample range."""
-        if other.batch_len != self.batch_len:
-            raise ValueError("cannot merge accumulators with different batch lengths")
-        if self._batch_count != 0:
-            raise ValueError("left accumulator must end on a batch boundary to merge")
-        self.count += other.count
-        self._total += other._total
-        self._batch_means.extend(other._batch_means)
-        self._batch_total = other._batch_total
-        self._batch_count = other._batch_count
-
-    @property
-    def mean(self) -> complex:
-        if self.count == 0:
-            raise EstimatorError("no samples accumulated")
-        return self._total / self.count
-
-    @property
-    def batch_means(self) -> np.ndarray:
-        return np.asarray(self._batch_means, dtype=complex)
-
-    @property
-    def n_batches(self) -> int:
-        return len(self._batch_means)
-
-    @property
-    def stderr_available(self) -> bool:
-        return self.n_batches >= MIN_BATCHES
-
-    @property
-    def stderr_pair(self) -> tuple[float, float] | None:
-        return _batch_stderr(self.batch_means)
-
-    @property
-    def stderr(self) -> float | None:
-        """Batch-means standard error of the real part (the full pair is
-        available as stderr_pair for complex observables)."""
-        pair = self.stderr_pair
-        return None if pair is None else pair[0]
-
-
-def average(
-    observable: Callable[[np.ndarray], complex],
-    samples: Iterable[np.ndarray],
-    batch_len: int,
-) -> RunningMoments:
-    """Trajectory average of observable(phi) over a stream of snapshots."""
-    acc = RunningMoments(batch_len)
-    for phi in samples:
-        acc.add(observable(phi))
-    return acc
-
-
-class _VectorBatches:
-    """Shared batch-means machinery for array-valued observables."""
-
-    def __init__(self, shape: tuple[int, ...], batch_len: int, dtype=float):
-        self.batch_len = batch_len
+        self._project = project
         self.count = 0
         self.total = np.zeros(shape, dtype=dtype)
         self._batch_total = np.zeros(shape, dtype=dtype)
         self._batch_count = 0
         self.batch_means: list[np.ndarray] = []
 
-    def add(self, value: np.ndarray) -> None:
+    def _projected(self, mean: np.ndarray) -> np.ndarray:
+        return mean if self._project is None else self._project(mean)
+
+    def add(self, value) -> None:
         self.count += 1
         self.total += value
         self._batch_total += value
         self._batch_count += 1
         if self._batch_count == self.batch_len:
-            self.batch_means.append(self._batch_total / self.batch_len)
+            self.batch_means.append(self._projected(self._batch_total / self.batch_len))
             self._batch_total[...] = 0
             self._batch_count = 0
 
-    def merge(self, other: "_VectorBatches") -> None:
+    def merge(self, other: "BatchMeans") -> None:
+        """Absorb an accumulator over a later, disjoint sample range."""
         if other.batch_len != self.batch_len:
             raise ValueError("cannot merge accumulators with different batch lengths")
+        if other.total.shape != self.total.shape:
+            raise ValueError("cannot merge accumulators of different observable shapes")
         if self._batch_count != 0:
             raise ValueError("left accumulator must end on a batch boundary to merge")
         self.count += other.count
@@ -153,16 +94,20 @@ class _VectorBatches:
     def mean(self) -> np.ndarray:
         if self.count == 0:
             raise EstimatorError("no samples accumulated")
-        return self.total / self.count
+        return self._projected(self.total / self.count)
 
     def stderr(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if len(self.batch_means) < MIN_BATCHES:
+        """Batch-means standard errors of the real and the imaginary part of
+        the (projected) mean, or None below MIN_BATCHES complete batches."""
+        n = len(self.batch_means)
+        if n < MIN_BATCHES:
             return None
         stack = np.stack(self.batch_means)
-        n = stack.shape[0]
-        se_re = np.std(stack.real, axis=0, ddof=1) / np.sqrt(n)
-        se_im = np.std(stack.imag, axis=0, ddof=1) / np.sqrt(n)
-        return se_re, se_im
+        root_n = np.sqrt(n)
+        return (
+            np.std(stack.real, axis=0, ddof=1) / root_n,
+            np.std(stack.imag, axis=0, ddof=1) / root_n,
+        )
 
 
 @dataclass
@@ -193,8 +138,8 @@ class CovarianceAccumulator:
         self.sites = sites
         k = len(sites)
         self._index = np.asarray(sites, dtype=int)
-        self._products = _VectorBatches((k, k), batch_len)
-        self._values = _VectorBatches((k,), batch_len)
+        self._products = BatchMeans((k, k), batch_len)
+        self._values = BatchMeans((k,), batch_len)
 
     def add(self, phi: np.ndarray) -> None:
         sub = phi[self._index]
@@ -216,21 +161,12 @@ class CovarianceAccumulator:
         )
 
 
-def mode_covariance(
-    sites: Sequence[int], samples: Iterable[np.ndarray], batch_len: int
-) -> CovarianceResult:
-    acc = CovarianceAccumulator(sites, batch_len)
-    for phi in samples:
-        acc.add(phi)
-    return acc.result()
-
-
 class VarianceAccumulator:
     """Per-site variance of the field over all lattice sites at once."""
 
     def __init__(self, n_sites: int, batch_len: int):
-        self._squares = _VectorBatches((n_sites,), batch_len)
-        self._values = _VectorBatches((n_sites,), batch_len)
+        self._squares = BatchMeans((n_sites,), batch_len)
+        self._values = BatchMeans((n_sites,), batch_len)
 
     def add(self, phi: np.ndarray) -> None:
         self._squares.add(phi * phi)
@@ -254,6 +190,8 @@ class MgfAccumulator:
     For distinct sites the four source patterns (+,+), (+,-), (-,+), (-,-)
     at amplitude eps give d^2 ln Z / dj_p dj_q up to O(eps^2); for p = q the
     two patterns +eps, -eps suffice because ln Z(0) = 0 identically.
+    Each batch mean of the exponential moments is projected straight onto
+    its finite difference, so the error bar is that of the estimate itself.
     """
 
     def __init__(self, site_p: int, site_q: int, eps: float, batch_len: int):
@@ -266,7 +204,9 @@ class MgfAccumulator:
             self._signs = ((1,), (-1,))
         else:
             self._signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        self._moments = _VectorBatches((len(self._signs),), batch_len)
+        self._moments = BatchMeans(
+            (len(self._signs),), batch_len, project=self._finite_difference
+        )
 
     def add(self, phi: np.ndarray) -> None:
         p, q, eps = self.site_p, self.site_q, self.eps
@@ -297,28 +237,9 @@ class MgfAccumulator:
 
     def result(self) -> tuple[float, float | None, int]:
         """(estimate, batch-means stderr or None, sample count)."""
-        estimate = self._finite_difference(self._moments.mean())
-        if len(self._moments.batch_means) < MIN_BATCHES:
-            return estimate, None, self._moments.count
-        per_batch = np.array(
-            [self._finite_difference(m) for m in self._moments.batch_means]
-        )
-        se = float(np.std(per_batch, ddof=1) / np.sqrt(per_batch.shape[0]))
-        return estimate, se, self._moments.count
-
-
-def mgf_covariance_check(
-    site_p: int,
-    site_q: int,
-    eps: float,
-    samples: Iterable[np.ndarray],
-    batch_len: int,
-) -> tuple[float, float | None]:
-    acc = MgfAccumulator(site_p, site_q, eps, batch_len)
-    for phi in samples:
-        acc.add(phi)
-    estimate, se, _ = acc.result()
-    return estimate, se
+        estimate = self._moments.mean()
+        se = self._moments.stderr()
+        return estimate, None if se is None else float(se[0]), self._moments.count
 
 
 @dataclass(frozen=True)
@@ -392,28 +313,25 @@ class CorrelatorAccumulator:
         shell: MassShell,
         batch_len: int,
     ):
-        if batch_len < 1:
-            raise ValueError("batch_len must be at least 1")
         self.grid = grid
         self.lattice = lattice
         self.shell = shell
-        self.batch_len = batch_len
         momenta = lattice.site_momenta()
         self._momenta = momenta
         # (N, S) spatial phases exp(-i p . x)
-        self._spatial_phase = np.exp(-1j * momenta @ grid.spatial.T)
+        spatial_phase = np.exp(-1j * momenta @ grid.spatial.T)
         self._fixed_time_phase = None
         if isinstance(shell, FixedShell):
             freqs = omega(momenta, shell.mass)
             self._fixed_time_phase = np.exp(1j * np.outer(grid.times, freqs))
-        shape = (grid.times.shape[0], lattice.site_count)
-        self.count = 0
-        self._total = np.zeros(shape, dtype=complex)
-        self._batch_total = np.zeros(shape, dtype=complex)
-        self._batch_count = 0
         # completed batches are projected straight onto the (T, S) grid, so
         # memory stays O(T N + batches * T S) at figure scale
-        self._batch_grids: list[np.ndarray] = []
+        self._sums = BatchMeans(
+            (grid.times.shape[0], lattice.site_count),
+            batch_len,
+            complex,
+            project=lambda mean: mean @ spatial_phase,
+        )
 
     def add(self, phi: np.ndarray) -> None:
         field_sum = float(np.sum(phi))
@@ -423,55 +341,20 @@ class CorrelatorAccumulator:
         else:
             freqs = omega(self._momenta, effective_masses(self.shell, phi))
             contribution = np.exp(1j * np.outer(self.grid.times, freqs)) * weighted[None, :]
-        self.count += 1
-        self._total += contribution
-        self._batch_total += contribution
-        self._batch_count += 1
-        if self._batch_count == self.batch_len:
-            self._batch_grids.append((self._batch_total / self.batch_len) @ self._spatial_phase)
-            self._batch_total[...] = 0
-            self._batch_count = 0
+        self._sums.add(contribution)
 
     def merge(self, other: "CorrelatorAccumulator") -> None:
-        if other.batch_len != self.batch_len:
-            raise ValueError("cannot merge accumulators with different batch lengths")
         if not (
             np.array_equal(other.grid.times, self.grid.times)
             and np.array_equal(other.grid.spatial, self.grid.spatial)
         ):
             raise ValueError("cannot merge accumulators over different grids")
-        if self._batch_count != 0:
-            raise ValueError("left accumulator must end on a batch boundary to merge")
-        self.count += other.count
-        self._total += other._total
-        self._batch_grids.extend(other._batch_grids)
-        self._batch_total = other._batch_total.copy()
-        self._batch_count = other._batch_count
+        self._sums.merge(other._sums)
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
-        if self.count == 0:
-            raise EstimatorError("no samples accumulated")
-        values = ((self._total / self.count) @ self._spatial_phase).reshape(-1)
-        if len(self._batch_grids) >= MIN_BATCHES:
-            stack = np.stack([g.reshape(-1) for g in self._batch_grids])
-            n = stack.shape[0]
-            se_re = np.std(stack.real, axis=0, ddof=1) / np.sqrt(n)
-            se_im = np.std(stack.imag, axis=0, ddof=1) / np.sqrt(n)
-        else:
-            se_re = se_im = None
+        values = self._sums.mean().reshape(-1)
+        se = self._sums.stderr()
+        se_re, se_im = (None, None) if se is None else (se[0].reshape(-1), se[1].reshape(-1))
         return CorrelatorGrid(
-            self.grid.points(), values, se_re, se_im, source, self.count
+            self.grid.points(), values, se_re, se_im, source, self._sums.count
         )
-
-
-def correlator(
-    grid: GridSpec,
-    shell: MassShell,
-    lattice: MomentumLattice,
-    samples: Iterable[np.ndarray],
-    batch_len: int,
-) -> CorrelatorGrid:
-    acc = CorrelatorAccumulator(grid, lattice, shell, batch_len)
-    for phi in samples:
-        acc.add(phi)
-    return acc.result()

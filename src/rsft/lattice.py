@@ -118,17 +118,6 @@ def omega(p, mass) -> np.ndarray:
     return np.sqrt(np.sum(p * p, axis=-1) + mass * mass)
 
 
-def effective_mass(shell: MassShell, phi: np.ndarray, index: int) -> float:
-    """Mass parameter at one site for the given shell kind and field."""
-    if isinstance(shell, FixedShell):
-        return shell.mass
-    if isinstance(shell, GlobalDynamicShell):
-        return abs(float(np.sum(phi)))
-    if isinstance(shell, LocalDynamicShell):
-        return abs(float(phi[index]))
-    raise TypeError(f"unknown mass-shell kind: {shell!r}")
-
-
 def effective_masses(shell: MassShell, phi: np.ndarray | None):
     """Mass parameter for every site: a scalar, or an (N,) array for the
     locally dynamic shell.  Dynamic kinds require the field values."""

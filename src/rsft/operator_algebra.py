@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimators import MIN_BATCHES, _VectorBatches
+from .estimators import MIN_BATCHES, BatchMeans
 from .lattice import MomentumLattice, omega
 from .oracles import ExactCovariance
 
@@ -94,25 +94,18 @@ def gram_exact(
 
 
 class GramAccumulator:
-    """Streaming Gram-matrix estimator over trajectory snapshots.
+    """Streaming Gram-matrix estimator over trajectory snapshots: batch means
+    of the products conj(O_i[phi]) O_j[phi] of linear observables."""
 
-    Observables may be LinearObservable instances or arbitrary callables
-    phi -> complex; only the linear family feeds the Fock construction.
-    """
-
-    def __init__(self, observables: Sequence, batch_len: int):
+    def __init__(self, observables: Sequence[LinearObservable], batch_len: int):
         if not observables:
             raise ValueError("observable list must be nonempty")
         self.observables = list(observables)
-        self._evaluators = [
-            obs.evaluate if isinstance(obs, LinearObservable) else obs
-            for obs in self.observables
-        ]
         k = len(self.observables)
-        self._acc = _VectorBatches((k, k), batch_len, dtype=complex)
+        self._acc = BatchMeans((k, k), batch_len, complex)
 
     def add(self, phi: np.ndarray) -> None:
-        values = np.array([ev(phi) for ev in self._evaluators], dtype=complex)
+        values = np.array([obs.evaluate(phi) for obs in self.observables], dtype=complex)
         self._acc.add(np.outer(np.conj(values), values))
 
     def merge(self, other: "GramAccumulator") -> None:
@@ -131,7 +124,7 @@ class GramAccumulator:
 
 
 def gram_sampled(
-    observables: Sequence,
+    observables: Sequence[LinearObservable],
     samples: Iterable[np.ndarray],
     batch_len: int,
 ) -> GramMatrix:
@@ -140,23 +133,6 @@ def gram_sampled(
     for phi in samples:
         acc.add(phi)
     return acc.result()
-
-
-def gram(
-    observables: Sequence,
-    *,
-    covariance: ExactCovariance | None = None,
-    samples: Iterable[np.ndarray] | None = None,
-    batch_len: int | None = None,
-) -> GramMatrix:
-    """Dispatch to the exact or the sampled Gram construction."""
-    if (covariance is None) == (samples is None):
-        raise ValueError("provide exactly one of covariance or samples")
-    if covariance is not None:
-        return gram_exact(observables, covariance)
-    if batch_len is None:
-        raise ValueError("sampled mode requires batch_len")
-    return gram_sampled(observables, samples, batch_len)
 
 
 def quotient_orthonormalize(
@@ -340,9 +316,6 @@ class FockRep:
         if self.n_max < 1:
             raise AlgebraError("interior subspace requires n_max >= 1")
         return np.flatnonzero(self.total_occupations() <= self.n_max - 1)
-
-    def mode_creation(self, mode: int) -> np.ndarray:
-        return self._creation[mode].copy()
 
 
 def creation_matrix(v: np.ndarray, rep: FockRep) -> np.ndarray:

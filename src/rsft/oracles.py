@@ -8,8 +8,7 @@ both matter actions admit closed-form covariances:
                        = (1/beta) (I - ones ones^T / (N + 1))
 
 the latter by the rank-one-update inverse identity.  Spacetime correlator
-grids, the discrete commutator kernel, and a continuum quadrature are
-derived from these.  The continuum quadrature is a qualitative aid only.
+grids and the discrete commutator kernel are derived from these.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ DENSE_MATRIX_LIMIT = 4096
 
 class OracleUnavailableError(ValueError):
     """No closed form exists for the requested configuration."""
-
-
-class QuadratureError(RuntimeError):
-    """The continuum quadrature failed its internal convergence check."""
 
 
 @dataclass(frozen=True)
@@ -145,43 +140,3 @@ def smeared_commutator(
     wa = np.asarray(weights_a, dtype=float)
     wb = np.asarray(weights_b, dtype=float)
     return (2.0 / beta) * float(np.sum(wa * wb * np.sin(angles)))
-
-
-def continuum_wightman(
-    y: np.ndarray, mass: float, cutoff: float, n_points: int = 2000
-) -> complex:
-    """Radial quadrature of the continuum positive-frequency kernel
-
-        (1/(2 pi)^3) integral d^3p / (2 omega_p) exp(-i(omega_p y0 - p . yvec))
-
-    with the smooth momentum window exp(-(p/cutoff)^8), integrated out to
-    2 * cutoff.  Qualitative aid for figure-level comparison only; never
-    used in acceptance gates.
-    """
-    if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
-    if n_points < 8:
-        raise ValueError("n_points too small")
-    y = np.asarray(y, dtype=float).reshape(4)
-    r = float(np.linalg.norm(y[1:]))
-
-    def evaluate(n: int) -> complex:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        p = (nodes + 1.0) * cutoff  # map [-1, 1] -> [0, 2 cutoff]
-        w = weights * cutoff
-        freq = np.sqrt(p * p + mass * mass)
-        window = np.exp(-((p / cutoff) ** 8))
-        radial = np.sinc(p * r / np.pi) if r > 0 else np.ones_like(p)
-        integrand = (p * p / (2.0 * freq)) * window * radial * np.exp(-1j * freq * y[0])
-        return complex(np.sum(w * integrand) / (2.0 * np.pi**2))
-
-    value = evaluate(n_points)
-    check = evaluate(max(8, n_points // 2))
-    tol = 1e-8 * (1.0 + abs(value))
-    if abs(value - check) > tol:
-        raise QuadratureError(
-            f"quadrature not converged: |delta|={abs(value - check):.3e} "
-            f"at n={n_points} vs n={max(8, n_points // 2)} (tol {tol:.3e}); "
-            "increase n_points"
-        )
-    return value

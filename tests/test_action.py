@@ -10,8 +10,8 @@ from rsft.action import (
     extended_action,
     matter_action,
     matter_grad,
-    total_action,
 )
+from rsft.dynamics import ExtendedState
 
 FREE = MatterActionKind.FREE
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
@@ -113,7 +113,7 @@ class TestTotalAction:
         rng = np.random.default_rng(3)
         phi, pi = rng.normal(size=n), rng.normal(size=n)
         s0 = extended_action(phi, pi, 1.0, 0.0, COLLECTIVE, bath)
-        assert total_action(phi, pi, 1.0, 0.0, s0, COLLECTIVE, bath) == 0.0
+        assert ExtendedState(phi, pi, 1.0, 0.0, s0).total_action(COLLECTIVE, bath) == 0.0
 
     def test_scales_with_s(self):
         n = 4
@@ -121,7 +121,8 @@ class TestTotalAction:
         phi, pi = np.zeros(n), np.zeros(n)
         s = 3.0
         s_x = extended_action(phi, pi, s, 0.0, FREE, bath)
-        assert total_action(phi, pi, s, 0.0, s_x - 2.0, FREE, bath) == pytest.approx(6.0)
+        state = ExtendedState(phi, pi, s, 0.0, s_x - 2.0)
+        assert state.total_action(FREE, bath) == pytest.approx(6.0)
 
     def test_bath_params_validation(self):
         with pytest.raises(ValueError):

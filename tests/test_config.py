@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from rsft.action import MatterActionKind
 from rsft.config import ConfigError, PRESETS, parse_config
 from rsft.lattice import FixedShell, GlobalDynamicShell, LocalDynamicShell
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 lattice.n_per_axis = 5
@@ -69,6 +73,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="mgf.pairs"):
             parse_config(MINIMAL + "mgf.pairs = 0:999\n")
 
+    def test_grid_x_points_reported_under_its_own_key(self):
+        lines = (CONFIG_DIR / "smoke.cfg").read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("grid.x_points"))
+        lines[lineno - 1] = "grid.x_points = 0"
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: grid\.x_points: "):
+            parse_config("\n".join(lines))
+
 
 class TestPresets:
     def test_example1_matches_published_parameters(self):
@@ -129,3 +140,13 @@ class TestResolvedItems:
         keys = dict(cfg.resolved_items())
         assert "seed" in keys
         assert "dynamics.batch_len" in keys
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_parses_and_resolves(self, path):
+        cfg = parse_config(path.read_text())
+        grid = cfg.grid_spec()
+        assert grid.n_points == cfg.grid_t_points * cfg.grid_x_points
+        assert cfg.integrator_params().dlambda == cfg.dlambda
+        assert cfg.resolved_batch_len >= 1

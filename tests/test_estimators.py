@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rsft.action import BathParams, MatterActionKind
 from rsft.dynamics import IntegratorParams, init_state, run, sample_stream
 from rsft.estimators import (
+    MIN_BATCHES,
+    BatchMeans,
     CorrelatorAccumulator,
     CovarianceAccumulator,
     EstimatorError,
     GridSpec,
     MgfAccumulator,
-    RunningMoments,
     VarianceAccumulator,
-    average,
-    correlator,
     default_batch_len,
-    mgf_covariance_check,
-    mode_covariance,
 )
-from rsft.lattice import FixedShell, MomentumLattice
+from rsft.lattice import FixedShell, LocalDynamicShell, MomentumLattice
 from rsft.oracles import exact_covariance, expected_correlator
 
 FREE = MatterActionKind.FREE
@@ -40,21 +40,128 @@ def synthetic_collective_samples(rng, n_sites, beta, count):
     return z + (1.0 / np.sqrt(n_sites + 1.0) - 1.0) * mean
 
 
+def feed(acc, samples):
+    for phi in samples:
+        acc.add(phi)
+    return acc
+
+
+# Integer-valued samples keep every sum exact, so the batch bookkeeping can
+# be compared bit for bit whatever order the additions happen in.
+SHAPES = [((), float), ((3,), float), ((2, 2), complex)]
+
+
+@st.composite
+def streams(draw):
+    """(values, batch_len) for a scalar, a vector or a complex matrix stream."""
+    shape, dtype = draw(st.sampled_from(SHAPES))
+    batch_len = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 12 * batch_len))
+    parts = [
+        draw(arrays(np.int64, (count,) + shape, elements=st.integers(-1000, 1000)))
+        for _ in range(2 if dtype is complex else 1)
+    ]
+    values = parts[0] + 1j * parts[1] if dtype is complex else parts[0].astype(float)
+    return values, batch_len
+
+
+class TestBatchMeans:
+    @given(streams(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_then_merge_equals_one_pass(self, stream, data):
+        values, batch_len = stream
+        split = batch_len * data.draw(st.integers(0, len(values) // batch_len))
+        shape, dtype = values.shape[1:], values.dtype
+        whole = feed(BatchMeans(shape, batch_len, dtype), values)
+        left = feed(BatchMeans(shape, batch_len, dtype), values[:split])
+        left.merge(feed(BatchMeans(shape, batch_len, dtype), values[split:]))
+        assert left.count == whole.count
+        np.testing.assert_array_equal(left.mean(), whole.mean())
+        assert len(left.batch_means) == len(whole.batch_means)
+        for got, want in zip(left.batch_means, whole.batch_means):
+            np.testing.assert_array_equal(got, want)
+        # the open batch carries over too: one more sample closes it alike
+        left.add(values[0])
+        whole.add(values[0])
+        np.testing.assert_array_equal(left.mean(), whole.mean())
+        assert len(left.batch_means) == len(whole.batch_means)
+
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_means_equal_reshape_mean(self, stream):
+        values, batch_len = stream
+        acc = feed(BatchMeans(values.shape[1:], batch_len, values.dtype), values)
+        n_batches = len(values) // batch_len
+        assert len(acc.batch_means) == n_batches
+        if n_batches:
+            expected = values[: n_batches * batch_len].reshape(
+                (n_batches, batch_len) + values.shape[1:]
+            ).mean(axis=1)
+            np.testing.assert_array_equal(np.stack(acc.batch_means), expected)
+
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_stderr_none_below_min_batches(self, stream):
+        values, batch_len = stream
+        acc = feed(BatchMeans(values.shape[1:], batch_len, values.dtype), values)
+        if len(values) < MIN_BATCHES * batch_len:
+            assert acc.stderr() is None
+        else:
+            se_re, se_im = acc.stderr()
+            assert se_re.shape == se_im.shape == values.shape[1:]
+
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_complex_pair_is_real_and_imaginary_parts(self, stream):
+        values, batch_len = stream
+        shape = values.shape[1:]
+        both = feed(BatchMeans(shape, batch_len, complex), values.astype(complex))
+        real = feed(BatchMeans(shape, batch_len), values.real)
+        imag = feed(BatchMeans(shape, batch_len), values.imag)
+        if both.stderr() is None:
+            return
+        se_re, se_im = both.stderr()
+        # a complex batch total divides by batch_len through a reciprocal,
+        # so the parts agree with the real streams to rounding only
+        np.testing.assert_allclose(se_re, real.stderr()[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(se_im, imag.stderr()[0], rtol=1e-12, atol=1e-12)
+        assert not np.any(real.stderr()[1])
+
+    def test_projection_applies_to_batches_and_mean(self):
+        acc = BatchMeans((2,), 2, project=lambda mean: mean.sum())
+        feed(acc, [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])])
+        assert acc.batch_means == [5.0]
+        assert acc.mean() == 7.0
+
+    def test_merge_rejects_other_batch_len_or_shape(self):
+        with pytest.raises(ValueError, match="batch lengths"):
+            BatchMeans((3,), 2).merge(BatchMeans((3,), 3))
+        with pytest.raises(ValueError, match="shapes"):
+            BatchMeans((3,), 2).merge(BatchMeans((), 2))
+
+    def test_rejects_empty_batches_and_empty_streams(self):
+        with pytest.raises(ValueError):
+            BatchMeans((), 0)
+        with pytest.raises(EstimatorError):
+            BatchMeans((), 1).mean()
+
+
 class TestRunningMoments:
+    """BatchMeans over a scalar stream: the running mean and its error."""
+
     def test_constant_observable(self):
-        acc = RunningMoments(batch_len=5)
+        acc = BatchMeans((), batch_len=5)
         for _ in range(80):
             acc.add(1.0)
-        assert acc.mean == 1.0
-        assert acc.stderr == 0.0
+        assert acc.mean() == 1.0
+        assert acc.stderr()[0] == 0.0
 
     def test_stderr_unavailable_below_eight_batches(self):
-        acc = RunningMoments(batch_len=10)
+        acc = BatchMeans((), batch_len=10)
         for value in range(70):
             acc.add(value)
-        assert acc.n_batches == 7
-        assert not acc.stderr_available
-        assert acc.stderr is None
+        assert len(acc.batch_means) == 7
+        assert acc.stderr() is None
         acc.add(1.0)  # mean still defined
         assert acc.count == 71
 
@@ -62,41 +169,41 @@ class TestRunningMoments:
         # i.i.d. unit-variance stream: the batch-means standard error must
         # reproduce 1/sqrt(count) within 20%.
         rng = np.random.default_rng(11)
-        acc = RunningMoments(batch_len=50)
+        acc = BatchMeans((), batch_len=50)
         count = 50 * 64
         for value in rng.normal(size=count):
             acc.add(value)
-        assert acc.stderr == pytest.approx(1.0 / np.sqrt(count), rel=0.2)
+        assert acc.stderr()[0] == pytest.approx(1.0 / np.sqrt(count), rel=0.2)
 
     def test_stderr_shrinks_like_root_batches(self):
         rng = np.random.default_rng(12)
-        small = RunningMoments(batch_len=25)
-        large = RunningMoments(batch_len=25)
+        small = BatchMeans((), batch_len=25)
+        large = BatchMeans((), batch_len=25)
         for value in rng.normal(size=25 * 16):
             small.add(value)
         for value in rng.normal(size=25 * 256):
             large.add(value)
-        assert small.stderr / large.stderr == pytest.approx(4.0, rel=0.35)
+        assert small.stderr()[0] / large.stderr()[0] == pytest.approx(4.0, rel=0.35)
 
     def test_merge_concatenates_batches_and_counts(self):
         values = np.arange(120.0)
-        whole = RunningMoments(batch_len=10)
+        whole = BatchMeans((), batch_len=10)
         for v in values:
             whole.add(v)
-        left = RunningMoments(batch_len=10)
-        right = RunningMoments(batch_len=10)
+        left = BatchMeans((), batch_len=10)
+        right = BatchMeans((), batch_len=10)
         for v in values[:60]:
             left.add(v)
         for v in values[60:]:
             right.add(v)
         left.merge(right)
         assert left.count == whole.count
-        assert left.mean == whole.mean
+        assert left.mean() == whole.mean()
         np.testing.assert_array_equal(left.batch_means, whole.batch_means)
 
     def test_merge_requires_batch_boundary(self):
-        left = RunningMoments(batch_len=10)
-        right = RunningMoments(batch_len=10)
+        left = BatchMeans((), batch_len=10)
+        right = BatchMeans((), batch_len=10)
         left.add(1.0)
         right.add(2.0)
         with pytest.raises(ValueError):
@@ -104,19 +211,21 @@ class TestRunningMoments:
 
     def test_complex_observable_stderr_pair(self):
         rng = np.random.default_rng(13)
-        acc = RunningMoments(batch_len=20)
+        acc = BatchMeans((), batch_len=20, dtype=complex)
         for re, im in rng.normal(size=(20 * 12, 2)):
             acc.add(re + 1j * im)
-        se_re, se_im = acc.stderr_pair
+        se_re, se_im = acc.stderr()
         assert se_re > 0 and se_im > 0
 
 
 class TestAverage:
+    """Trajectory averages of scalar functions of the field via BatchMeans."""
+
     def test_constant_callable(self):
         samples = [np.zeros(3) for _ in range(40)]
-        acc = average(lambda phi: 1.0, samples, batch_len=5)
-        assert acc.mean == 1.0
-        assert acc.stderr == 0.0
+        acc = feed(BatchMeans((), batch_len=5), (1.0 for phi in samples))
+        assert acc.mean() == 1.0
+        assert acc.stderr()[0] == 0.0
 
     def test_single_mode_mean_vanishes_on_trajectory(self):
         # Equilibrated collective run: the field mean oscillates around zero.
@@ -126,17 +235,17 @@ class TestAverage:
         state, _ = init_state(lattice, bath, COLLECTIVE, 4)
         state = run(state, params, 5000)
         stream = sample_stream(state, params, 40_000, thin_stride=5)
-        acc = average(lambda phi: float(phi[0]), stream, batch_len=100)
-        assert acc.stderr is not None
-        assert abs(acc.mean.real) <= 5.0 * acc.stderr
+        acc = feed(BatchMeans((), batch_len=100), (float(phi[0]) for phi in stream))
+        assert acc.stderr() is not None
+        assert abs(acc.mean().real) <= 5.0 * acc.stderr()[0]
 
     def test_mode_square_matches_oracle_on_synthetic_stream(self):
         rng = np.random.default_rng(14)
         n, beta = 8, 1.0
         cov = exact_covariance(COLLECTIVE, n, beta)
         samples = synthetic_collective_samples(rng, n, beta, 6400)
-        acc = average(lambda phi: float(phi[0]) ** 2, samples, batch_len=100)
-        assert abs(acc.mean.real - cov.diag) <= 5.0 * acc.stderr
+        acc = feed(BatchMeans((), batch_len=100), (float(phi[0]) ** 2 for phi in samples))
+        assert abs(acc.mean().real - cov.diag) <= 5.0 * acc.stderr()[0]
 
 
 class TestModeCovariance:
@@ -149,7 +258,7 @@ class TestModeCovariance:
         n, beta = 27, 2.0
         cov = exact_covariance(COLLECTIVE, n, beta)
         samples = synthetic_collective_samples(rng, n, beta, 12_800)
-        result = mode_covariance(range(8), samples, batch_len=100)
+        result = feed(CovarianceAccumulator(range(8), batch_len=100), samples).result()
         assert result.stderr is not None
         for i in range(8):
             for j in range(8):
@@ -159,7 +268,7 @@ class TestModeCovariance:
     def test_matrix_symmetric_and_near_positive(self):
         rng = np.random.default_rng(16)
         samples = synthetic_free_samples(rng, 12, 1.0, 4000)
-        result = mode_covariance(range(12), samples, batch_len=50)
+        result = feed(CovarianceAccumulator(range(12), batch_len=50), samples).result()
         np.testing.assert_array_equal(result.matrix, result.matrix.T)
         min_eig = np.linalg.eigvalsh(result.matrix).min()
         assert min_eig >= -5.0 * result.stderr.max()
@@ -200,21 +309,21 @@ class TestMgf:
         n, beta = 8, 1.0
         cov = exact_covariance(COLLECTIVE, n, beta)
         samples = synthetic_collective_samples(rng, n, beta, 12_800)
-        estimate, se = mgf_covariance_check(0, 0, 0.05, samples, batch_len=100)
+        estimate, se, _ = feed(MgfAccumulator(0, 0, 0.05, batch_len=100), samples).result()
         assert se is not None
         assert abs(estimate - cov.diag) <= 5.0 * se
 
     def test_uncorrelated_pair_vanishes_in_free_stream(self):
         rng = np.random.default_rng(20)
         samples = synthetic_free_samples(rng, 8, 1.0, 12_800)
-        estimate, se = mgf_covariance_check(1, 5, 0.05, samples, batch_len=100)
+        estimate, se, _ = feed(MgfAccumulator(1, 5, 0.05, batch_len=100), samples).result()
         assert abs(estimate) <= 5.0 * se
 
     def test_halving_epsilon_changes_estimate_within_stderr(self):
         rng = np.random.default_rng(21)
         samples = synthetic_free_samples(rng, 4, 1.0, 12_800)
-        e_full, se_full = mgf_covariance_check(2, 2, 0.08, samples, batch_len=100)
-        e_half, _ = mgf_covariance_check(2, 2, 0.04, samples, batch_len=100)
+        e_full, se_full, _ = feed(MgfAccumulator(2, 2, 0.08, batch_len=100), samples).result()
+        e_half, _, _ = feed(MgfAccumulator(2, 2, 0.04, batch_len=100), samples).result()
         assert abs(e_full - e_half) <= se_full
 
     def test_overflow_raises_with_advice(self):
@@ -260,7 +369,9 @@ class TestCorrelator:
         lattice = MomentumLattice(3, 0.2)
         beta, mass = 1.0, 1.0
         samples = synthetic_collective_samples(rng, lattice.site_count, beta, 12_800)
-        grid = correlator(self.grid(), FixedShell(mass), lattice, samples, batch_len=100)
+        grid = feed(
+            CorrelatorAccumulator(self.grid(), lattice, FixedShell(mass), batch_len=100), samples
+        ).result()
         expected = expected_correlator(COLLECTIVE, lattice, mass, beta, grid.points)
         assert grid.stderr_re is not None
         ok_re = np.abs(grid.values.real - expected.real) <= 5.0 * grid.stderr_re
@@ -273,7 +384,9 @@ class TestCorrelator:
         beta = 2.0
         samples = synthetic_free_samples(rng, lattice.site_count, beta, 12_800)
         origin_grid = GridSpec(np.array([0.0]), np.zeros((1, 3)))
-        grid = correlator(origin_grid, FixedShell(1.0), lattice, samples, batch_len=100)
+        grid = feed(
+            CorrelatorAccumulator(origin_grid, lattice, FixedShell(1.0), batch_len=100), samples
+        ).result()
         target = lattice.site_count / beta
         assert abs(grid.values[0].real - target) <= 5.0 * grid.stderr_re[0]
         assert abs(grid.values[0].imag) <= 5.0 * grid.stderr_im[0]
@@ -285,14 +398,18 @@ class TestCorrelator:
         lattice = MomentumLattice(3, 0.2)
         samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 500)
         mirror = GridSpec(np.array([-0.7, 0.7]), np.array([[0.4, 0.0, -0.2]]))
-        grid = correlator(mirror, FixedShell(1.0), lattice, samples, batch_len=50)
+        grid = feed(
+            CorrelatorAccumulator(mirror, lattice, FixedShell(1.0), batch_len=50), samples
+        ).result()
         plus, minus = grid.values[1], grid.values[0]
         # spatial point is the same for both rows; mirrored spatial part
         # requires the paired grid below.
         paired = GridSpec(np.array([0.7]), np.array([[0.4, 0.0, -0.2], [-0.4, 0.0, 0.2]]))
         rng2 = np.random.default_rng(24)
         samples2 = synthetic_free_samples(rng2, lattice.site_count, 1.0, 500)
-        grid2 = correlator(paired, FixedShell(1.0), lattice, samples2, batch_len=50)
+        grid2 = feed(
+            CorrelatorAccumulator(paired, lattice, FixedShell(1.0), batch_len=50), samples2
+        ).result()
         value_pos = grid2.values[0]
         assert minus == pytest.approx(np.conj(grid2.values[1]), abs=1e-10)
         assert plus == pytest.approx(value_pos, abs=1e-12)
@@ -308,7 +425,8 @@ class TestCorrelator:
             state, _ = init_state(lattice, bath, COLLECTIVE, 6)
             state = run(state, params, 1000)
             stream = sample_stream(state, params, 4000, thin_stride=10)
-            return correlator(self.grid(), GlobalDynamicShell(), lattice, stream, batch_len=50)
+            acc = CorrelatorAccumulator(self.grid(), lattice, GlobalDynamicShell(), batch_len=50)
+            return feed(acc, stream).result()
 
         first, second = run_once(), run_once()
         assert np.all(np.isfinite(first.values))
@@ -337,9 +455,24 @@ class TestCorrelator:
         lattice = MomentumLattice(2, 0.3)
         samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 100)
         grid_spec = self.grid()
-        grid = correlator(grid_spec, FixedShell(1.0), lattice, samples, batch_len=10)
+        grid = feed(
+            CorrelatorAccumulator(grid_spec, lattice, FixedShell(1.0), batch_len=10), samples
+        ).result()
         np.testing.assert_array_equal(grid.points, grid_spec.points())
         assert grid.values.shape == (grid_spec.n_points,)
+
+    def test_batches_are_stored_as_time_by_space_grids(self):
+        # a (T, N) phased-field batch mean is projected onto the spatial
+        # points at flush, so each stored batch costs T * S, not T * N
+        rng = np.random.default_rng(27)
+        lattice = MomentumLattice(3, 0.2)
+        grid_spec = GridSpec.plane(2.0, 5, 2.0, 3, axis=1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 45)
+        for shell in (FixedShell(1.0), LocalDynamicShell()):
+            acc = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=10), samples)
+            assert len(acc._sums.batch_means) == 4
+            for batch_grid in acc._sums.batch_means:
+                assert batch_grid.shape == (5, 3)
 
 
 class TestDefaultBatchLen:

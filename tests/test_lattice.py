@@ -8,7 +8,6 @@ from rsft.lattice import (
     GlobalDynamicShell,
     LocalDynamicShell,
     MomentumLattice,
-    effective_mass,
     effective_masses,
     frequencies,
     omega,
@@ -95,25 +94,25 @@ class TestOmega:
 class TestEffectiveMass:
     def test_fixed_ignores_field(self):
         phi = np.array([4.0, -2.0, 1.0])
-        assert effective_mass(FixedShell(1.0), phi, 0) == 1.0
+        assert effective_masses(FixedShell(1.0), phi) == 1.0
 
     def test_global_zero_field(self):
         phi = np.zeros(5)
-        assert effective_mass(GlobalDynamicShell(), phi, 3) == 0.0
+        assert effective_masses(GlobalDynamicShell(), phi) == 0.0
 
     def test_local_takes_magnitude(self):
         phi = np.array([0.2, -0.7, 0.1])
-        assert effective_mass(LocalDynamicShell(), phi, 1) == pytest.approx(0.7)
+        assert effective_masses(LocalDynamicShell(), phi)[1] == pytest.approx(0.7)
 
     def test_global_is_abs_of_sum(self):
         phi = np.array([1.0, -3.0, 0.5])
-        assert effective_mass(GlobalDynamicShell(), phi, 0) == pytest.approx(1.5)
+        assert effective_masses(GlobalDynamicShell(), phi) == pytest.approx(1.5)
 
     def test_vectorized_matches_scalar(self):
         phi = np.array([0.2, -0.7, 0.1, 0.0])
         local = effective_masses(LocalDynamicShell(), phi)
         for idx in range(4):
-            assert local[idx] == effective_mass(LocalDynamicShell(), phi, idx)
+            assert local[idx] == abs(phi[idx])
 
     def test_frequencies_shapes_and_values(self):
         lat = MomentumLattice(3, 0.5)
@@ -122,7 +121,8 @@ class TestEffectiveMass:
             freqs = frequencies(lat, shell, phi)
             assert freqs.shape == (lat.site_count,)
             idx = 7
-            expected = omega(lat.site_momentum(idx), effective_mass(shell, phi, idx))
+            mass = np.broadcast_to(effective_masses(shell, phi), phi.shape)[idx]
+            expected = omega(lat.site_momentum(idx), mass)
             assert freqs[idx] == pytest.approx(float(expected))
 
     def test_dynamic_shell_requires_field(self):

@@ -16,7 +16,6 @@ from rsft.operator_algebra import (
     commutator_check,
     creation_matrix,
     field_operator,
-    gram,
     gram_exact,
     gram_sampled,
     microcausality_ratio,
@@ -27,7 +26,7 @@ from rsft.operator_algebra import (
     standard_packet_configuration,
 )
 from rsft.oracles import exact_covariance, smeared_commutator
-from tests.test_estimators import synthetic_collective_samples, synthetic_free_samples
+from tests.test_estimators import synthetic_collective_samples
 
 FREE = MatterActionKind.FREE
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
@@ -113,27 +112,6 @@ class TestGram:
                 assert abs(sampled.matrix[i, j].imag - exact.matrix[i, j].imag) <= (
                     5.0 * sampled.stderr_im[i, j]
                 )
-
-    def test_sampled_gram_accepts_callable_observables(self):
-        rng = np.random.default_rng(3)
-        samples = synthetic_free_samples(rng, 6, 1.0, 800)
-        result = gram_sampled(
-            [lambda phi: float(phi[0]) ** 2, lambda phi: float(phi[1])],
-            samples,
-            batch_len=50,
-        )
-        # <phi0^2 phi0^2> = 3 for a unit Gaussian; diagonal entries real.
-        assert result.matrix[0, 0].real == pytest.approx(3.0, rel=0.3)
-        assert result.matrix[1, 1].real == pytest.approx(1.0, rel=0.3)
-
-    def test_dispatch_requires_exactly_one_source(self):
-        cov = exact_covariance(FREE, 4, 1.0)
-        obs = [unit_site_observable(4, 0)]
-        with pytest.raises(ValueError):
-            gram(obs)
-        with pytest.raises(ValueError):
-            gram(obs, covariance=cov, samples=[np.zeros(4)])
-        np.testing.assert_allclose(gram(obs, covariance=cov).matrix, [[1.0]])
 
 
 class TestQuotient:

@@ -4,8 +4,6 @@ import pytest
 from rsft.action import MatterActionKind
 from rsft.lattice import MomentumLattice, omega
 from rsft.oracles import (
-    QuadratureError,
-    continuum_wightman,
     exact_covariance,
     expected_correlator,
     pauli_jordan_discrete,
@@ -167,40 +165,3 @@ class TestPauliJordan:
         assert smeared_commutator(lattice, 1.0, 1.0, ones, ones, delta) == pytest.approx(
             2.0 * plain, rel=1e-12
         )
-
-
-class TestContinuumWightman:
-    def test_origin_value_real_positive_and_growing_in_cutoff(self):
-        small = continuum_wightman(np.zeros(4), 1.0, cutoff=1.0)
-        large = continuum_wightman(np.zeros(4), 1.0, cutoff=2.0)
-        assert abs(small.imag) < 1e-12
-        assert small.real > 0
-        assert large.real > small.real
-
-    def test_continuity_in_small_time(self):
-        base = continuum_wightman(np.zeros(4), 1.0, cutoff=1.2)
-        nearby = continuum_wightman(np.array([1e-4, 0, 0, 0]), 1.0, cutoff=1.2)
-        assert abs(nearby - base) < 1e-3 * abs(base)
-
-    def test_non_convergent_quadrature_raises(self):
-        with pytest.raises(QuadratureError):
-            continuum_wightman(np.array([40.0, 0, 0, 0]), 1.0, cutoff=5.0, n_points=16)
-
-    def test_same_sign_pattern_as_discrete_along_time_axis(self):
-        # Figure-level comparison: the real parts of the discrete sum and the
-        # continuum kernel oscillate in step along the time axis.
-        lattice = MomentumLattice(9, 0.1)
-        cutoff = (lattice.n_per_axis - 1) / 2 * lattice.spacing
-        times = np.linspace(0.0, 3.0, 7)
-        grid = np.zeros((times.shape[0], 4))
-        grid[:, 0] = times
-        discrete = expected_correlator(FREE, lattice, 1.0, 1.0, grid).real
-        continuum = np.array(
-            [continuum_wightman(point, 1.0, cutoff=cutoff).real for point in grid]
-        )
-        # conjugate phase conventions: exp(+i w t) vs exp(-i w t) share Re.
-        # The flat-measure sum and the on-shell kernel cross zero at slightly
-        # different times, so compare signs away from the crossings only.
-        away = np.abs(continuum) > 0.05 * np.abs(continuum).max()
-        assert away.sum() >= 5
-        assert np.all(np.sign(discrete[away]) == np.sign(continuum[away]))
