@@ -8,10 +8,8 @@ from .dynamics import (
     StepFailureError,
     flip_momenta,
     init_state,
-    leapfrog_step,
     make_rng,
     run,
-    sample_stream,
 )
 from .estimators import (
     BatchMeans,
@@ -29,7 +27,6 @@ from .lattice import (
     GlobalDynamicShell,
     LocalDynamicShell,
     MomentumLattice,
-    frequencies,
     omega,
 )
 from .operator_algebra import (
@@ -48,8 +45,8 @@ from .operator_algebra import (
     creation_matrix,
     field_operator,
     gram_exact,
-    gram_sampled,
     microcausality_ratio,
+    packet_observables,
     number_operator,
     packet_coefficients,
     quotient_orthonormalize,

@@ -2,9 +2,9 @@
 
 Subcommands: simulate, correlator, covariance, mgf-check, fock-check,
 microcausality, resume.  Every output file embeds the fully resolved
-configuration and seed as comment headers; exit status is 0 exactly when
-all checks requested by the subcommand passed their tolerances.  Errors
-print a single machine-readable `error: ...` line on stderr.
+configuration and seed as comment headers.  Exit status is 0 when every
+check passed its tolerance and 1 when one failed; errors print a single
+machine-readable `error: ...` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -23,17 +23,20 @@ from .dynamics import ExtendedState, StepFailureError
 from .estimators import (
     CorrelatorAccumulator,
     CovarianceAccumulator,
+    EstimatorError,
     MgfAccumulator,
     VarianceAccumulator,
 )
 from .operator_algebra import (
     AlgebraError,
     FockRep,
+    GramAccumulator,
     HilbertContext,
     LinearObservable,
     algebra_report,
     microcausality_ratio,
     packet_envelope,
+    packet_observables,
     standard_packet_configuration,
 )
 
@@ -115,27 +118,34 @@ def _sampling_observer(cfg: RunConfig, accumulators):
     return observe
 
 
-def _run_with_estimators(cfg: RunConfig, accumulators, subcommand: str):
-    """Equilibrate, then sample with the given accumulators attached; also
-    writes the conservation log and periodic checkpoints."""
-    lattice = cfg.lattice()
+def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_from=None):
+    """Advance a trajectory to the configured total with the conservation
+    log, periodic checkpoints and the sampled accumulators attached, then
+    write the final checkpoint.  A fresh trajectory starts from the seeded
+    initial state and logs its step-0 row; `resume_from` is a checkpointed
+    (state, rng) pair, logged to its own file."""
     bath = cfg.bath()
     kind = cfg.matter_action_kind()
     params = cfg.integrator_params()
-    state, rng = dynamics.init_state(lattice, bath, kind, cfg.seed)
-    log_path = _out_path(cfg, "conservation.csv")
+    if resume_from is None:
+        state, rng = dynamics.init_state(cfg.lattice(), bath, kind, cfg.seed)
+        log_name, extra = "conservation.csv", []
+    else:
+        state, rng = resume_from
+        log_name = "conservation_resume.csv"
+        extra = [("resumed_from_step", str(state.step_count))]
     ckpt_path = _out_path(cfg, "checkpoint.ckpt")
-    with storage.ConservationLog(log_path, _header(cfg, subcommand)) as log:
-        log.record(0, 0.0, state.total_action(kind, bath), state.s, state.pi_s)
+    with storage.ConservationLog(_out_path(cfg, log_name), _header(cfg, subcommand, extra)) as log:
+        if resume_from is None:
+            log.record(0, 0.0, state.total_action(kind, bath), state.s, state.pi_s)
         observers = [
             _conservation_observer(log, cfg, params, kind, bath),
             _checkpoint_observer(cfg, rng, ckpt_path),
             _sampling_observer(cfg, accumulators),
         ]
-        final = dynamics.run(state, params, cfg.total_steps, observers)
+        final = dynamics.run(state, params, cfg.total_steps - state.step_count, observers)
         storage.write_checkpoint(ckpt_path, final, rng)
-        max_abs = log.max_abs_total_action
-    return final, rng, max_abs
+    return final, log.max_abs_total_action
 
 
 def _agreement(value: float, target: float, stderr: float | None, n_sigma: float = 5.0) -> bool:
@@ -146,7 +156,7 @@ def _agreement(value: float, target: float, stderr: float | None, n_sigma: float
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    final, _rng, max_abs = _run_with_estimators(cfg, [], "simulate")
+    final, max_abs = _run_trajectory(cfg, "simulate")
     print(
         f"simulate: {cfg.total_steps} steps completed; "
         f"max |total action| = {max_abs:.6e}; final s = {final.s:.6f}"
@@ -168,20 +178,7 @@ def cmd_resume(cfg: RunConfig, checkpoint_path: str) -> int:
             f"checkpoint is at step {state.step_count}, beyond the configured "
             f"total of {cfg.total_steps}"
         )
-    bath = cfg.bath()
-    kind = cfg.matter_action_kind()
-    params = cfg.integrator_params()
-    log_path = _out_path(cfg, "conservation_resume.csv")
-    ckpt_path = _out_path(cfg, "checkpoint.ckpt")
-    extra = [("resumed_from_step", str(state.step_count))]
-    with storage.ConservationLog(log_path, _header(cfg, "resume", extra)) as log:
-        observers = [
-            _conservation_observer(log, cfg, params, kind, bath),
-            _checkpoint_observer(cfg, rng, ckpt_path),
-        ]
-        final = dynamics.run(state, params, remaining, observers)
-        storage.write_checkpoint(ckpt_path, final, rng)
-        max_abs = log.max_abs_total_action
+    final, max_abs = _run_trajectory(cfg, "resume", resume_from=(state, rng))
     print(
         f"resume: advanced {remaining} steps to {final.step_count}; "
         f"max |total action| = {max_abs:.6e}"
@@ -193,7 +190,7 @@ def cmd_correlator(cfg: RunConfig) -> int:
     grid_spec = cfg.grid_spec()
     lattice = cfg.lattice()
     acc = CorrelatorAccumulator(grid_spec, lattice, cfg.shell(), cfg.resolved_batch_len)
-    _run_with_estimators(cfg, [acc], "correlator")
+    _run_trajectory(cfg, "correlator", [acc])
     grid = acc.result(source="mc")
     storage.emit_correlator_csv(
         grid, _out_path(cfg, "correlator_mc.csv"), _header(cfg, "correlator", [("source", "mc")])
@@ -240,7 +237,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
     sites = list(range(cfg.covariance_n_sites))
     var_acc = VarianceAccumulator(cfg.site_count, cfg.resolved_batch_len)
     cov_acc = CovarianceAccumulator(sites, cfg.resolved_batch_len)
-    _run_with_estimators(cfg, [var_acc, cov_acc], "covariance")
+    _run_trajectory(cfg, "covariance", [var_acc, cov_acc])
     cov = oracles.exact_covariance(cfg.matter_action_kind(), cfg.site_count, cfg.beta)
 
     variances, var_se, _count = var_acc.result()
@@ -303,7 +300,7 @@ def cmd_mgf_check(cfg: RunConfig) -> int:
         MgfAccumulator(p, q, cfg.mgf_epsilon, cfg.resolved_batch_len) for p, q in cfg.mgf_pairs
     ]
     cov_acc = CovarianceAccumulator(pair_sites, cfg.resolved_batch_len)
-    _run_with_estimators(cfg, mgf_accs + [cov_acc], "mgf-check")
+    _run_trajectory(cfg, "mgf-check", mgf_accs + [cov_acc])
     block = cov_acc.result()
     site_pos = {site: pos for pos, site in enumerate(pair_sites)}
 
@@ -385,26 +382,16 @@ def cmd_microcausality(cfg: RunConfig) -> int:
     spacelike, timelike = standard_packet_configuration(
         cfg.micro_separation, cfg.micro_sigma_p, spatial_axis=1
     )
-    covariance = oracles.exact_covariance(cfg.matter_action_kind(), cfg.site_count, cfg.beta)
     if cfg.micro_source == "exact":
+        covariance = oracles.exact_covariance(cfg.matter_action_kind(), cfg.site_count, cfg.beta)
         result = microcausality_ratio(
             spacelike, timelike, lattice, cfg.mass, covariance=covariance
         )
     else:
-        bath = cfg.bath()
-        kind = cfg.matter_action_kind()
-        params = cfg.integrator_params()
-        state, _rng = dynamics.init_state(lattice, bath, kind, cfg.seed)
-        state = dynamics.run(state, params, cfg.equilibration_steps)
-        stream = dynamics.sample_stream(state, params, cfg.sampling_steps, cfg.thin_stride)
-        result = microcausality_ratio(
-            spacelike,
-            timelike,
-            lattice,
-            cfg.mass,
-            samples=stream,
-            batch_len=cfg.resolved_batch_len,
-        )
+        observables = packet_observables(spacelike, timelike, lattice, cfg.mass)
+        gram = GramAccumulator(observables, cfg.resolved_batch_len)
+        _run_trajectory(cfg, "microcausality", [gram])
+        result = microcausality_ratio(spacelike, timelike, lattice, cfg.mass, gram=gram.result())
 
     # Independent reference: direct envelope-weighted kernel sums for the
     # free theory on the same lattice.
@@ -519,7 +506,7 @@ def main(argv=None) -> int:
         if args.subcommand == "resume":
             return cmd_resume(cfg, args.checkpoint)
         return _HANDLERS[args.subcommand](cfg)
-    except (ConfigError, storage.CheckpointError, AlgebraError, OSError) as err:
+    except (ConfigError, storage.CheckpointError, AlgebraError, EstimatorError, OSError) as err:
         return _fail(str(err))
     except StepFailureError as err:
         return _fail(f"integration step failed at stage {err.stage}: {err}")

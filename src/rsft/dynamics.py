@@ -15,6 +15,11 @@ and reduces to a scalar quadratic; the matching second half-kick is
 explicit.  The scale factor is advanced by two symmetric rational (Cayley)
 half-steps bracketing the field drift, which makes the whole step exactly
 reversible under momentum flip.
+
+`run` is the one loop over that step.  Everything that reads a trajectory
+(the conservation log, periodic checkpoints, every sampled estimator) is an
+observer it calls after each step, so a trajectory average is a streaming
+accumulator fed each thinned snapshot.
 """
 
 from __future__ import annotations
@@ -187,16 +192,6 @@ def _advance(
     return s, pi_s
 
 
-def leapfrog_step(state: ExtendedState, params: IntegratorParams) -> ExtendedState:
-    """Advance one step; the input state is left untouched."""
-    out = state.copy()
-    out.s, out.pi_s = _advance(
-        out.phi, out.pi_phi, out.s, out.pi_s, out.s0, params.dlambda, params.action_kind, params.bath
-    )
-    out.step_count += 1
-    return out
-
-
 def flip_momenta(state: ExtendedState) -> ExtendedState:
     """Negate both momenta; running forward from the flipped state retraces
     the trajectory."""
@@ -206,43 +201,14 @@ def flip_momenta(state: ExtendedState) -> ExtendedState:
     return out
 
 
-def sample_stream(
-    state: ExtendedState,
-    params: IntegratorParams,
-    n_steps: int,
-    thin_stride: int = 1,
-):
-    """Generate read-only field snapshots every thin_stride-th step.
-
-    Advances a private copy of the state; the yielded array is a live view
-    that changes on the next iteration, so consumers must reduce it
-    immediately (or copy).
-    """
-    if thin_stride < 1:
-        raise ValueError("thin_stride must be at least 1")
-    phi = state.phi.copy()
-    pi_phi = state.pi_phi.copy()
-    phi_view = phi.view()
-    phi_view.flags.writeable = False
-    s, pi_s = state.s, state.pi_s
-    for step_index in range(1, n_steps + 1):
-        try:
-            s, pi_s = _advance(
-                phi, pi_phi, s, pi_s, state.s0, params.dlambda, params.action_kind, params.bath
-            )
-        except StepFailureError as err:
-            raise err.with_step_index(state.step_count + step_index) from None
-        if step_index % thin_stride == 0:
-            yield phi_view
-
-
 def run(
     state: ExtendedState,
     params: IntegratorParams,
     n_steps: int,
     observers: Sequence[Observer] = (),
 ) -> ExtendedState:
-    """Apply n_steps leapfrog steps, invoking every observer after each step.
+    """Apply n_steps leapfrog steps, invoking every observer after each step;
+    the input state is left untouched and the final state is returned.
 
     Observers receive a live view of the evolving state whose arrays are
     read-only; they must not hold mutable references across calls.  Step

@@ -272,10 +272,6 @@ class GridSpec:
         spatial[:, axis - 1] = np.linspace(-x_extent, x_extent, x_points)
         return cls(times, spatial)
 
-    @property
-    def n_points(self) -> int:
-        return self.times.shape[0] * self.spatial.shape[0]
-
     def points(self) -> np.ndarray:
         """(G, 4) rows (y0, y1, y2, y3) in grid order."""
         t = np.repeat(self.times, self.spatial.shape[0])
@@ -349,6 +345,8 @@ class CorrelatorAccumulator:
             and np.array_equal(other.grid.spatial, self.grid.spatial)
         ):
             raise ValueError("cannot merge accumulators over different grids")
+        if (other.lattice, other.shell) != (self.lattice, self.shell):
+            raise ValueError("cannot merge accumulators over different lattices or mass shells")
         self._sums.merge(other._sums)
 
     def result(self, source: str = "mc") -> CorrelatorGrid:

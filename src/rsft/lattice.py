@@ -131,7 +131,3 @@ def effective_masses(shell: MassShell, phi: np.ndarray | None):
         return np.abs(phi)
     raise TypeError(f"unknown mass-shell kind: {shell!r}")
 
-
-def frequencies(lattice: MomentumLattice, shell: MassShell, phi: np.ndarray | None = None) -> np.ndarray:
-    """Frequencies omega(p) for all sites, in lexicographic site order."""
-    return omega(lattice.site_momenta(), effective_masses(shell, phi))

@@ -109,7 +109,10 @@ class GramAccumulator:
         self._acc.add(np.outer(np.conj(values), values))
 
     def merge(self, other: "GramAccumulator") -> None:
-        if len(other.observables) != len(self.observables):
+        if len(other.observables) != len(self.observables) or not all(
+            np.array_equal(mine.coeffs, theirs.coeffs)
+            for mine, theirs in zip(self.observables, other.observables)
+        ):
             raise ValueError("cannot merge accumulators over different families")
         self._acc.merge(other._acc)
 
@@ -121,18 +124,6 @@ class GramAccumulator:
             zeros = np.zeros((k, k))
             return GramMatrix(matrix, zeros, zeros, self._acc.count)
         return GramMatrix(matrix, se[0], se[1], self._acc.count)
-
-
-def gram_sampled(
-    observables: Sequence[LinearObservable],
-    samples: Iterable[np.ndarray],
-    batch_len: int,
-) -> GramMatrix:
-    """Gram matrix from a stream of trajectory snapshots."""
-    acc = GramAccumulator(observables, batch_len)
-    for phi in samples:
-        acc.add(phi)
-    return acc.result()
 
 
 def quotient_orthonormalize(
@@ -198,7 +189,10 @@ class HilbertContext:
         batch_len: int,
         tol: float | None = None,
     ) -> "HilbertContext":
-        gram_matrix = gram_sampled(observables, samples, batch_len)
+        acc = GramAccumulator(observables, batch_len)
+        for phi in samples:
+            acc.add(phi)
+        gram_matrix = acc.result()
         if tol is None:
             if gram_matrix.n_samples is None or gram_matrix.max_stderr == 0.0:
                 raise AlgebraError(
@@ -277,7 +271,7 @@ class FockRep:
             raise ValueError("n_max must be nonnegative")
         dim = math.comb(d + n_max, d)
         if dim > FOCK_DIMENSION_LIMIT:
-            raise ValueError(f"truncated space dimension {dim} exceeds limit")
+            raise AlgebraError(f"truncated space dimension {dim} exceeds limit")
         occupations = sorted(
             (occ for occ in _cartesian(range(n_max + 1), repeat=d) if sum(occ) <= n_max),
             key=lambda occ: (sum(occ), occ),
@@ -437,6 +431,21 @@ class MicrocausalityResult:
     se_ratio: float | None = None
 
 
+def packet_observables(
+    spacelike_pair: tuple[GaussianPacket, GaussianPacket],
+    timelike_pair: tuple[GaussianPacket, GaussianPacket],
+    lattice: MomentumLattice,
+    mass: float,
+) -> list[LinearObservable]:
+    """The four packet observables of a microcausality test: the spacelike
+    pair, then the timelike pair."""
+    return [
+        LinearObservable(packet_coefficients(packet, lattice, mass))
+        for pair in (spacelike_pair, timelike_pair)
+        for packet in pair
+    ]
+
+
 def microcausality_ratio(
     spacelike_pair: tuple[GaussianPacket, GaussianPacket],
     timelike_pair: tuple[GaussianPacket, GaussianPacket],
@@ -444,24 +453,17 @@ def microcausality_ratio(
     mass: float,
     *,
     covariance: ExactCovariance | None = None,
-    samples: Iterable[np.ndarray] | None = None,
-    batch_len: int | None = None,
+    gram: GramMatrix | None = None,
 ) -> MicrocausalityResult:
     """|K| at spacelike separation over |K| at the timelike reference.
 
     The kernel K = 2 Im <phi(J_A), phi(J_B)> is evaluated for both packet
-    configurations either from a closed-form covariance or from a single
-    stream of trajectory snapshots.  A timelike reference below the
+    configurations either from a closed-form covariance or from the sampled
+    Gram matrix of `packet_observables`.  A timelike reference below the
     numerical floor is an error rather than a huge ratio.
     """
-    if (covariance is None) == (samples is None):
-        raise ValueError("provide exactly one of covariance or samples")
-    pairs = (spacelike_pair, timelike_pair)
-    observables = [
-        LinearObservable(packet_coefficients(packet, lattice, mass))
-        for pair in pairs
-        for packet in pair
-    ]
+    if (covariance is None) == (gram is None):
+        raise ValueError("provide exactly one of covariance or gram")
     scale_t = 2.0 * float(
         np.sum(
             packet_envelope(timelike_pair[0], lattice)
@@ -469,23 +471,19 @@ def microcausality_ratio(
         )
     )
     if covariance is not None:
-        k_s = 2.0 * float(
-            np.imag(covariance.quadratic_form(observables[0].coeffs, observables[1].coeffs))
-        )
-        k_t = 2.0 * float(
-            np.imag(covariance.quadratic_form(observables[2].coeffs, observables[3].coeffs))
+        obs = packet_observables(spacelike_pair, timelike_pair, lattice, mass)
+        k_s, k_t = (
+            2.0 * float(np.imag(covariance.quadratic_form(obs[i].coeffs, obs[i + 1].coeffs)))
+            for i in (0, 2)
         )
         se_s = se_t = None
         scale_t /= covariance.beta
     else:
-        if batch_len is None:
-            raise ValueError("sampled mode requires batch_len")
-        gram_matrix = gram_sampled(observables, samples, batch_len)
-        k_s = 2.0 * float(np.imag(gram_matrix.matrix[0, 1]))
-        k_t = 2.0 * float(np.imag(gram_matrix.matrix[2, 3]))
-        if gram_matrix.max_stderr > 0:
-            se_s = 2.0 * float(gram_matrix.stderr_im[0, 1])
-            se_t = 2.0 * float(gram_matrix.stderr_im[2, 3])
+        k_s = 2.0 * float(np.imag(gram.matrix[0, 1]))
+        k_t = 2.0 * float(np.imag(gram.matrix[2, 3]))
+        if gram.max_stderr > 0:
+            se_s = 2.0 * float(gram.stderr_im[0, 1])
+            se_t = 2.0 * float(gram.stderr_im[2, 3])
         else:
             se_s = se_t = None
     if abs(k_t) <= 1e-12 * scale_t:

@@ -5,7 +5,9 @@ fixed-order little-endian binary payload (site count, the two field arrays,
 the bath scalar and momentum, the reference action, the step count, the
 generator algorithm identifier and its serialized state), and a CRC-32 of
 the payload.  Round trips are bit-exact, so a resumed trajectory reproduces
-the unbroken one exactly.
+the unbroken one exactly.  A checkpoint is written to a temporary file in
+the same directory and renamed onto its path, so a crash mid-write leaves
+the previous checkpoint intact.
 
 Every CSV starts with `# key = value` comment lines carrying the fully
 resolved configuration and seed; floating-point values use 17 significant
@@ -15,6 +17,7 @@ digits so re-emission of the same data is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from typing import Iterable, Sequence, TextIO
@@ -55,8 +58,14 @@ def write_checkpoint(path, state: ExtendedState, rng: np.random.Generator) -> No
     ]
     payload = b"".join(parts)
     checksum = struct.pack("<I", zlib.crc32(payload))
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC + payload + checksum)
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC + payload + checksum)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 class _Reader:

@@ -1,5 +1,6 @@
 
 import numpy as np
+import pytest
 
 from rsft.cli import main
 
@@ -213,3 +214,40 @@ class TestMicrocausality:
         rows = dict(line.split(",", 1) for line in data_rows(tmp_path / "microcausality.csv"))
         assert np.isfinite(float(rows["ratio"]))
         assert np.isfinite(float(rows["se_ratio"]))
+        # the sampled source runs a trajectory like every other estimator
+        assert len(data_rows(tmp_path / "conservation.csv")) == 11
+        assert (tmp_path / "checkpoint.ckpt").exists()
+
+
+class TestErrors:
+    """Failures that are not a failed check print one `error:` line and
+    exit 2; exit 1 is reserved for a check that ran and failed."""
+
+    @pytest.mark.parametrize(
+        "subcommand, extra",
+        [
+            ("correlator", ""),
+            ("covariance", ""),
+            ("mgf-check", ""),
+            ("microcausality", "micro.source = mc\n"),
+        ],
+    )
+    def test_no_samples_errors(self, tmp_path, capsys, subcommand, extra):
+        # fewer sampling steps than one thinning stride: nothing is sampled
+        text = BASE.replace(
+            "dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 5"
+        )
+        cfg = write_config(tmp_path, text + extra + f"output.dir = {tmp_path}\n")
+        assert main([subcommand, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no samples" in err
+        assert err.count("\n") == 1
+
+    def test_fock_space_over_limit_errors(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            BASE + f"fock.n_observables = 30\nfock.n_max = 4\noutput.dir = {tmp_path}\n",
+        )
+        assert main(["fock-check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds limit" in err

@@ -8,9 +8,7 @@ from rsft.dynamics import (
     StepFailureError,
     flip_momenta,
     init_state,
-    leapfrog_step,
     run,
-    sample_stream,
 )
 from rsft.lattice import MomentumLattice
 
@@ -84,7 +82,7 @@ class TestLeapfrogStep:
         state.s0 = extended_action(state.phi, state.pi_phi, state.s, state.pi_s, FREE, bath)
         dl = 0.01
         params = IntegratorParams(dl, bath, FREE)
-        stepped = leapfrog_step(state, params)
+        stepped = run(state, params, 1)
         h = dl / 2.0
         drive = -bath.n_f / bath.beta  # all other terms vanish from rest
         expected_half = bath_kick_fixed_point(0.0, drive, h, bath.m_s)
@@ -103,7 +101,7 @@ class TestLeapfrogStep:
     def test_input_state_is_untouched(self):
         _, _, params, state, _ = default_setup()
         before = state.copy()
-        leapfrog_step(state, params)
+        run(state, params, 1)
         np.testing.assert_array_equal(state.phi, before.phi)
         np.testing.assert_array_equal(state.pi_phi, before.pi_phi)
         assert state.s == before.s and state.pi_s == before.pi_s
@@ -156,7 +154,7 @@ class TestLeapfrogStep:
 
         def step_map(z):
             state = ExtendedState(np.array([z[0]]), np.array([z[1]]), z[2], z[3], s0=0.17)
-            out = leapfrog_step(state, params)
+            out = run(state, params, 1)
             return np.array([out.phi[0], out.pi_phi[0], out.s, out.pi_s])
 
         z0 = np.array([0.3, -0.4, 1.1, 0.2])
@@ -214,9 +212,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(state, params, -1)
 
-    def test_sample_stream_matches_run(self):
+    def test_thinned_observer_snapshots_match_run(self):
         _, _, params, state, _ = default_setup(n_per_axis=3)
-        snapshots = [phi.copy() for phi in sample_stream(state, params, 40, thin_stride=10)]
+        snapshots = []
+
+        def every_tenth(live):
+            if live.step_count % 10 == 0:
+                snapshots.append(live.phi.copy())
+
+        run(state, params, 40, [every_tenth])
         assert len(snapshots) == 4
         direct = run(state, params, 40)
         np.testing.assert_array_equal(snapshots[-1], direct.phi)

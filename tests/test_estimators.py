@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import IntegratorParams, init_state, run, sample_stream
+from rsft.dynamics import IntegratorParams, init_state, run
 from rsft.estimators import (
     MIN_BATCHES,
     BatchMeans,
@@ -44,6 +44,18 @@ def feed(acc, samples):
     for phi in samples:
         acc.add(phi)
     return acc
+
+
+def sample_run(add, state, params, n_steps, thin_stride):
+    """Call add on every thin_stride-th field snapshot of a run, as the CLI's
+    sampling observer does."""
+    start = state.step_count
+
+    def sample(live):
+        if (live.step_count - start) % thin_stride == 0:
+            add(live.phi)
+
+    run(state, params, n_steps, [sample])
 
 
 # Integer-valued samples keep every sum exact, so the batch bookkeeping can
@@ -234,8 +246,8 @@ class TestAverage:
         params = IntegratorParams(0.01, bath, COLLECTIVE)
         state, _ = init_state(lattice, bath, COLLECTIVE, 4)
         state = run(state, params, 5000)
-        stream = sample_stream(state, params, 40_000, thin_stride=5)
-        acc = feed(BatchMeans((), batch_len=100), (float(phi[0]) for phi in stream))
+        acc = BatchMeans((), batch_len=100)
+        sample_run(lambda phi: acc.add(float(phi[0])), state, params, 40_000, thin_stride=5)
         assert acc.stderr() is not None
         assert abs(acc.mean().real) <= 5.0 * acc.stderr()[0]
 
@@ -424,9 +436,9 @@ class TestCorrelator:
         def run_once():
             state, _ = init_state(lattice, bath, COLLECTIVE, 6)
             state = run(state, params, 1000)
-            stream = sample_stream(state, params, 4000, thin_stride=10)
             acc = CorrelatorAccumulator(self.grid(), lattice, GlobalDynamicShell(), batch_len=50)
-            return feed(acc, stream).result()
+            sample_run(acc.add, state, params, 4000, thin_stride=10)
+            return acc.result()
 
         first, second = run_once(), run_once()
         assert np.all(np.isfinite(first.values))
@@ -450,6 +462,18 @@ class TestCorrelator:
             left.result().values, whole.result().values, rtol=0, atol=1e-12
         )
 
+    def test_merge_rejects_other_lattice_or_shell(self):
+        grid_spec = self.grid()
+        fixed = CorrelatorAccumulator(grid_spec, MomentumLattice(3, 0.1), FixedShell(1.0), 10)
+        local = CorrelatorAccumulator(grid_spec, MomentumLattice(3, 0.5), LocalDynamicShell(), 10)
+        with pytest.raises(ValueError):
+            fixed.merge(local)
+        same_lattice = CorrelatorAccumulator(
+            grid_spec, MomentumLattice(3, 0.1), LocalDynamicShell(), 10
+        )
+        with pytest.raises(ValueError):
+            fixed.merge(same_lattice)
+
     def test_grid_row_order_matches_points(self):
         rng = np.random.default_rng(26)
         lattice = MomentumLattice(2, 0.3)
@@ -459,7 +483,7 @@ class TestCorrelator:
             CorrelatorAccumulator(grid_spec, lattice, FixedShell(1.0), batch_len=10), samples
         ).result()
         np.testing.assert_array_equal(grid.points, grid_spec.points())
-        assert grid.values.shape == (grid_spec.n_points,)
+        assert grid.values.shape == (len(grid_spec.points()),)
 
     def test_batches_are_stored_as_time_by_space_grids(self):
         # a (T, N) phased-field batch mean is projected onto the spatial

@@ -9,7 +9,6 @@ from rsft.lattice import (
     LocalDynamicShell,
     MomentumLattice,
     effective_masses,
-    frequencies,
     omega,
 )
 
@@ -118,7 +117,7 @@ class TestEffectiveMass:
         lat = MomentumLattice(3, 0.5)
         phi = np.linspace(-1, 1, lat.site_count)
         for shell in (FixedShell(1.0), GlobalDynamicShell(), LocalDynamicShell()):
-            freqs = frequencies(lat, shell, phi)
+            freqs = omega(lat.site_momenta(), effective_masses(shell, phi))
             assert freqs.shape == (lat.site_count,)
             idx = 7
             mass = np.broadcast_to(effective_masses(shell, phi), phi.shape)[idx]
@@ -128,4 +127,4 @@ class TestEffectiveMass:
     def test_dynamic_shell_requires_field(self):
         lat = MomentumLattice(3, 0.5)
         with pytest.raises(ValueError):
-            frequencies(lat, GlobalDynamicShell())
+            omega(lat.site_momenta(), effective_masses(GlobalDynamicShell(), None))

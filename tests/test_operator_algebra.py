@@ -9,6 +9,7 @@ from rsft.operator_algebra import (
     AlgebraError,
     FockRep,
     GaussianPacket,
+    GramAccumulator,
     HilbertContext,
     LinearObservable,
     algebra_report,
@@ -17,16 +18,16 @@ from rsft.operator_algebra import (
     creation_matrix,
     field_operator,
     gram_exact,
-    gram_sampled,
     microcausality_ratio,
     number_operator,
     packet_coefficients,
     packet_envelope,
+    packet_observables,
     quotient_orthonormalize,
     standard_packet_configuration,
 )
 from rsft.oracles import exact_covariance, smeared_commutator
-from tests.test_estimators import synthetic_collective_samples
+from tests.test_estimators import feed, synthetic_collective_samples
 
 FREE = MatterActionKind.FREE
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
@@ -100,7 +101,7 @@ class TestGram:
             for _ in range(3)
         ]
         samples = synthetic_collective_samples(rng, n, beta, 12_800)
-        sampled = gram_sampled(obs, samples, batch_len=100)
+        sampled = feed(GramAccumulator(obs, batch_len=100), samples).result()
         exact = gram_exact(obs, cov)
         min_eig = float(np.linalg.eigvalsh(sampled.matrix).min())
         assert min_eig >= -5.0 * sampled.max_stderr
@@ -112,6 +113,14 @@ class TestGram:
                 assert abs(sampled.matrix[i, j].imag - exact.matrix[i, j].imag) <= (
                     5.0 * sampled.stderr_im[i, j]
                 )
+
+
+    def test_merge_rejects_other_family_of_same_size(self):
+        n = 8
+        single = GramAccumulator([unit_site_observable(n, 0)], batch_len=10)
+        scaled = GramAccumulator([unit_site_observable(n, 3, scale=5.0)], batch_len=10)
+        with pytest.raises(ValueError):
+            single.merge(scaled)
 
 
 class TestQuotient:
@@ -406,9 +415,9 @@ class TestMicrocausality:
         spacelike, timelike = standard_packet_configuration(1.5, 0.5)
         exact = microcausality_ratio(spacelike, timelike, lattice, 1.0, covariance=cov)
         samples = synthetic_collective_samples(rng, lattice.site_count, beta, 12_800)
-        sampled = microcausality_ratio(
-            spacelike, timelike, lattice, 1.0, samples=samples, batch_len=100
-        )
+        observables = packet_observables(spacelike, timelike, lattice, 1.0)
+        gram = feed(GramAccumulator(observables, batch_len=100), samples).result()
+        sampled = microcausality_ratio(spacelike, timelike, lattice, 1.0, gram=gram)
         assert sampled.se_ratio is not None
         assert abs(sampled.ratio - exact.ratio) <= 5.0 * sampled.se_ratio
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,24 @@ class TestCheckpoint:
         assert rest.s == whole.s
         assert rest.pi_s == whole.pi_s
         assert rest.step_count == whole.step_count
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        params, state, rng = setup_run()
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state, rng)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_checkpoint(path, run(state, params, 50), rng)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        loaded, _ = read_checkpoint(path)
+        np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
+        assert os.listdir(tmp_path) == ["state.ckpt"]
 
     def test_corrupted_byte_is_detected(self, tmp_path):
         params, state, rng = setup_run()
