@@ -39,10 +39,11 @@ from .operator_algebra import (
     HilbertContext,
     LinearObservable,
     MicrocausalityResult,
+    SparseOperand,
     algebra_report,
-    annihilation_matrix,
+    annihilation_operator,
     commutator_check,
-    creation_matrix,
+    creation_operator,
     field_operator,
     gram_exact,
     microcausality_ratio,

@@ -97,10 +97,18 @@ def _conservation_observer(log, cfg: RunConfig, params, kind, bath):
     return observe
 
 
+def _checkpoint_physics(cfg: RunConfig) -> dict:
+    """The config values a checkpointed trajectory depends on beyond its
+    site count; a resume must match them."""
+    return {"action.kind": cfg.action_kind, "dynamics.dlambda": cfg.dlambda}
+
+
 def _checkpoint_observer(cfg: RunConfig, rng, path):
+    physics = _checkpoint_physics(cfg)
+
     def observe(state: ExtendedState) -> None:
         if state.step_count % cfg.checkpoint_every == 0:
-            storage.write_checkpoint(path, state, rng)
+            storage.write_checkpoint(path, state, rng, physics)
 
     return observe
 
@@ -144,7 +152,7 @@ def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_fro
             _sampling_observer(cfg, accumulators),
         ]
         final = dynamics.run(state, params, cfg.total_steps - state.step_count, observers)
-        storage.write_checkpoint(ckpt_path, final, rng)
+        storage.write_checkpoint(ckpt_path, final, rng, _checkpoint_physics(cfg))
     return final, log.max_abs_total_action
 
 
@@ -166,7 +174,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_resume(cfg: RunConfig, checkpoint_path: str) -> int:
-    state, rng = storage.read_checkpoint(checkpoint_path)
+    state, rng = storage.read_checkpoint(checkpoint_path, expect=_checkpoint_physics(cfg))
     if state.phi.shape[0] != cfg.site_count:
         return _fail(
             f"checkpoint holds {state.phi.shape[0]} sites but the config "
@@ -366,7 +374,11 @@ def cmd_fock_check(cfg: RunConfig) -> int:
         _out_path(cfg, "fock_report.csv"),
         ("check", "deviation", "tolerance", "passed"),
         rows,
-        _header(cfg, "fock-check", [("one_particle_dim", str(context.d))]),
+        _header(
+            cfg,
+            "fock-check",
+            [("one_particle_dim", str(context.d)), ("fock_dim", str(rep.dim))],
+        ),
     )
     all_ok = all(r.passed for r in results)
     worst = max(results, key=lambda r: r.deviation / max(r.tolerance, 1e-300))

@@ -6,16 +6,19 @@ exactly from a closed-form covariance.  Diagonalizing the Gram matrix of a
 finite observable family and discarding the (numerical) null directions
 yields an orthonormal one-particle basis; the bosonic Fock space over it is
 truncated by total occupation, making creation, annihilation and field
-operators finite matrices.  All operator identities are asserted on the
-interior subspace (total occupation at most n_max - 1), where truncation
-artifacts vanish identically.
+operators finite.  They are kept sparse: each mode ladder is an index map
+with its amplitudes, and operators act on coordinate triples, so the
+identity checks cost O(d^2 dim) rather than dense dim^3 products.
+Identities that truncation breaks are asserted on the interior subspace
+(total occupation at most n_max - 1), where its artifacts vanish
+identically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as _cartesian
+from itertools import chain, combinations_with_replacement
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -255,13 +258,19 @@ class FockRep:
 
     The occupation basis lists every multi-index (n_1 .. n_d) with total at
     most n_max in graded lexicographic order, so the vacuum (0, ..., 0) is
-    the first basis vector and the dimension is C(d + n_max, d).
+    the first basis vector and the dimension is C(d + n_max, d).  Each mode
+    ladder is stored as index maps, O(d * dim) numbers in all: `_raised[m, j]`
+    is the basis index of state j with one more quantum in mode m (-1 where
+    that leaves the truncation), `_lowered[m]` is the inverse map, and
+    `_amplitude[m, j]` is sqrt(n_m + 1) for the state j at the lower end.
     """
 
     d: int
     n_max: int
     occupations: np.ndarray
-    _creation: tuple[np.ndarray, ...] = field(repr=False)
+    _raised: np.ndarray = field(repr=False)
+    _lowered: np.ndarray = field(repr=False)
+    _amplitude: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, d: int, n_max: int) -> "FockRep":
@@ -272,22 +281,26 @@ class FockRep:
         dim = math.comb(d + n_max, d)
         if dim > FOCK_DIMENSION_LIMIT:
             raise AlgebraError(f"truncated space dimension {dim} exceeds limit")
-        occupations = sorted(
-            (occ for occ in _cartesian(range(n_max + 1), repeat=d) if sum(occ) <= n_max),
-            key=lambda occ: (sum(occ), occ),
-        )
-        occ_array = np.array(occupations, dtype=int).reshape(len(occupations), d)
-        index = {occ: pos for pos, occ in enumerate(occupations)}
-        ladders = []
-        for mode in range(d):
-            matrix = np.zeros((len(occupations), len(occupations)))
-            for pos, occ in enumerate(occupations):
-                if sum(occ) < n_max:
-                    raised = list(occ)
-                    raised[mode] += 1
-                    matrix[index[tuple(raised)], pos] = math.sqrt(occ[mode] + 1)
-            ladders.append(matrix)
-        return cls(d, n_max, occ_array, tuple(ladders))
+        # A state of total t is a multiset of t modes.  Combinations with
+        # replacement list the multisets of each total in lexicographic
+        # order, the reverse of the lexicographic order of the occupations.
+        multisets = [
+            modes
+            for total in range(n_max + 1)
+            for modes in reversed(list(combinations_with_replacement(range(d), total)))
+        ]
+        occupations = np.zeros((dim, d), dtype=int)
+        rows = np.repeat(np.arange(dim), [len(modes) for modes in multisets])
+        np.add.at(occupations, (rows, np.fromiter(chain.from_iterable(multisets), int)), 1)
+        index = {modes: pos for pos, modes in enumerate(multisets)}
+        raised = np.full((d, dim), -1)
+        for pos in range(math.comb(d + n_max - 1, d)):  # the states below total n_max
+            for mode in range(d):
+                raised[mode, pos] = index[tuple(sorted(multisets[pos] + (mode,)))]
+        lowered = np.full((d, dim), -1)
+        mode_of, source = np.nonzero(raised >= 0)
+        lowered[mode_of, raised[mode_of, source]] = source
+        return cls(d, n_max, occupations, raised, lowered, np.sqrt(occupations.T + 1.0))
 
     @property
     def dim(self) -> int:
@@ -312,41 +325,136 @@ class FockRep:
         return np.flatnonzero(self.total_occupations() <= self.n_max - 1)
 
 
-def creation_matrix(v: np.ndarray, rep: FockRep) -> np.ndarray:
-    """Matrix of the creation operator for the one-particle vector v, linear
-    in v; raising out of the truncated space maps to zero."""
+@dataclass(frozen=True)
+class SparseOperand:
+    """An operator or vector on a truncated Fock space as the sum of its
+    entries value * |row><col|.  Entries may repeat a (row, col) pair and
+    then add; a vector is a single column, col 0."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray) -> "SparseOperand":
+        values = np.asarray(values, dtype=complex)
+        index = np.arange(values.shape[0])
+        return cls(index, index, values)
+
+    @classmethod
+    def vector(cls, values: np.ndarray) -> "SparseOperand":
+        values = np.asarray(values, dtype=complex)
+        return cls(np.arange(values.shape[0]), np.zeros(values.shape[0], dtype=int), values)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["SparseOperand"]) -> "SparseOperand":
+        """The sum of the parts: all their entries."""
+        return cls(
+            np.concatenate([part.rows for part in parts]),
+            np.concatenate([part.cols for part in parts]),
+            np.concatenate([part.values for part in parts]),
+        )
+
+    def __add__(self, other: "SparseOperand") -> "SparseOperand":
+        return SparseOperand.concatenate((self, other))
+
+    def __sub__(self, other: "SparseOperand") -> "SparseOperand":
+        return self + SparseOperand(other.rows, other.cols, -other.values)
+
+    def adjoint(self) -> "SparseOperand":
+        return SparseOperand(self.cols, self.rows, self.values.conj())
+
+    def to_vector(self, dim: int) -> np.ndarray:
+        """The dense vector of a single-column operand."""
+        return np.bincount(self.rows, self.values.real, dim) + 1j * np.bincount(
+            self.rows, self.values.imag, dim
+        )
+
+    def max_abs(self, within: np.ndarray | None = None) -> float:
+        """Largest |matrix element| once repeated entries are summed,
+        over the (within, within) block when basis indices are given."""
+        rows, cols, values = self.rows, self.cols, self.values
+        if within is not None:
+            inside = np.isin(rows, within) & np.isin(cols, within)
+            rows, cols, values = rows[inside], cols[inside], values[inside]
+        if values.size == 0:
+            return 0.0
+        _, entry = np.unique(rows * (int(cols.max()) + 1) + cols, return_inverse=True)
+        summed = np.bincount(entry, values.real) + 1j * np.bincount(entry, values.imag)
+        return float(np.abs(summed).max())
+
+
+@dataclass(frozen=True)
+class LadderOperator:
+    """sum_m raising[m] a*_m + lowering[m] a_m on a truncated Fock space,
+    applied to a sparse operand from the left in O(d * nnz); raising out of
+    the truncated space maps to zero."""
+
+    rep: FockRep
+    raising: np.ndarray
+    lowering: np.ndarray
+
+    def __call__(self, operand: SparseOperand) -> SparseOperand:
+        rep = self.rep
+        return self._ladders(self.raising, rep._raised, operand, up=True) + self._ladders(
+            self.lowering, rep._lowered, operand, up=False
+        )
+
+    def _ladders(self, coeffs, targets, operand: SparseOperand, up: bool) -> SparseOperand:
+        modes = np.flatnonzero(coeffs)
+        target = targets[modes][:, operand.rows]
+        keep = target >= 0
+        # the amplitude of a ladder step belongs to its lower state
+        lower = np.broadcast_to(operand.rows, target.shape) if up else target
+        amplitude = np.take_along_axis(self.rep._amplitude[modes], lower, axis=1)
+        values = coeffs[modes, None] * amplitude * operand.values
+        cols = np.broadcast_to(operand.cols, target.shape)
+        return SparseOperand(target[keep], cols[keep], values[keep])
+
+
+def _one_particle(v: np.ndarray, rep: FockRep) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (rep.d,):
         raise ValueError(f"one-particle vector must have dimension {rep.d}")
-    matrix = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for mode, amplitude in enumerate(v):
-        if amplitude != 0:
-            matrix += amplitude * rep._creation[mode]
-    return matrix
+    return v
 
 
-def annihilation_matrix(v: np.ndarray, rep: FockRep) -> np.ndarray:
-    """Conjugate transpose of the creation matrix; annihilates the vacuum."""
-    return creation_matrix(v, rep).conj().T
+def creation_operator(v: np.ndarray, rep: FockRep) -> LadderOperator:
+    """The creation operator a*(v) = sum_m v_m a*_m, linear in v."""
+    v = _one_particle(v, rep)
+    return LadderOperator(rep, v, np.zeros_like(v))
 
 
-def number_operator(rep: FockRep) -> np.ndarray:
-    """Sum over modes of creation times annihilation."""
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for mode in range(rep.d):
-        ladder = rep._creation[mode]
-        total += ladder @ ladder.conj().T
-    return total
+def annihilation_operator(v: np.ndarray, rep: FockRep) -> LadderOperator:
+    """The adjoint of a*(v), antilinear in v; annihilates the vacuum."""
+    v = _one_particle(v, rep)
+    return LadderOperator(rep, np.zeros_like(v), v.conj())
 
 
-def field_operator(obs: LinearObservable, context: HilbertContext, rep: FockRep) -> np.ndarray:
-    """Hermitian-structure matrix a*(v) + a(v) with v the coordinates of the
-    observable in the orthonormal one-particle basis."""
+def number_operator(rep: FockRep) -> SparseOperand:
+    """Sum over modes of creation times annihilation, as sparse entries."""
+    identity = SparseOperand.diagonal(np.ones(rep.dim))
+    return SparseOperand.concatenate(
+        [
+            creation_operator(unit, rep)(annihilation_operator(unit, rep)(identity))
+            for unit in np.eye(rep.d)
+        ]
+    )
+
+
+def field_operator(obs: LinearObservable, context: HilbertContext, rep: FockRep) -> LadderOperator:
+    """Hermitian-structure operator a*(v) + a(v) with v the coordinates of
+    the observable in the orthonormal one-particle basis."""
     if rep.d != context.d:
         raise ValueError("Fock representation dimension differs from the context basis")
     v = context.coords(obs)
-    raised = creation_matrix(v, rep)
-    return raised + raised.conj().T
+    return LadderOperator(rep, v, v.conj())
+
+
+def _commutator(
+    op_a: LadderOperator, op_b: LadderOperator, operand: SparseOperand
+) -> SparseOperand:
+    return op_a(op_b(operand)) - op_b(op_a(operand))
 
 
 def commutator_check(
@@ -360,9 +468,12 @@ def commutator_check(
     interior = rep.interior_indices()
     op_a = field_operator(obs_a, context, rep)
     op_b = field_operator(obs_b, context, rep)
-    expected = 2j * np.imag(context.inner_product(obs_a, obs_b)) * np.eye(rep.dim)
-    deviation = op_a @ op_b - op_b @ op_a - expected
-    return float(np.abs(deviation[np.ix_(interior, interior)]).max())
+    identity = SparseOperand.diagonal(np.ones(rep.dim))
+    expected = 2j * np.imag(context.inner_product(obs_a, obs_b))
+    deviation = _commutator(op_a, op_b, identity) - SparseOperand.diagonal(
+        np.full(rep.dim, expected)
+    )
+    return deviation.max_abs(within=interior)
 
 
 @dataclass(frozen=True)
@@ -510,10 +621,6 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def _max_abs(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).max())
-
-
 def algebra_report(
     context: HilbertContext, rep: FockRep, rng_seed: int = 0
 ) -> list[CheckResult]:
@@ -530,52 +637,69 @@ def algebra_report(
 
     gram_matrix = context.gram.matrix
     results.append(
-        CheckResult("gram_hermitian", _max_abs(gram_matrix - gram_matrix.conj().T), ALGEBRA_TOL)
+        CheckResult(
+            "gram_hermitian", float(np.abs(gram_matrix - gram_matrix.conj().T).max()), ALGEBRA_TOL
+        )
     )
     eigvals = np.linalg.eigvalsh(gram_matrix)
     psd_tol = max(ALGEBRA_TOL * max(eigvals[-1], 1.0), 5.0 * context.gram.max_stderr)
     results.append(CheckResult("gram_positive", max(0.0, -float(eigvals[0])), psd_tol))
 
+    identity = SparseOperand.diagonal(np.ones(rep.dim))
     u = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
     w = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
-    a_u, a_w = annihilation_matrix(u, rep), annihilation_matrix(w, rep)
-    c_u, c_w = creation_matrix(u, rep), creation_matrix(w, rep)
-    results.append(CheckResult("ccr_annihilation_pair", _max_abs(a_u @ a_w - a_w @ a_u), ALGEBRA_TOL))
-    results.append(CheckResult("ccr_creation_pair", _max_abs(c_u @ c_w - c_w @ c_u), ALGEBRA_TOL))
-    mixed = a_u @ c_w - c_w @ a_u - complex(np.vdot(u, w)) * np.eye(rep.dim)
+    a_u, a_w = annihilation_operator(u, rep), annihilation_operator(w, rep)
+    c_u, c_w = creation_operator(u, rep), creation_operator(w, rep)
     results.append(
-        CheckResult("ccr_mixed", _max_abs(mixed[np.ix_(interior, interior)]), ALGEBRA_TOL)
+        CheckResult("ccr_annihilation_pair", _commutator(a_u, a_w, identity).max_abs(), ALGEBRA_TOL)
     )
+    results.append(
+        CheckResult("ccr_creation_pair", _commutator(c_u, c_w, identity).max_abs(), ALGEBRA_TOL)
+    )
+    mixed = _commutator(a_u, c_w, identity) - SparseOperand.diagonal(
+        np.full(rep.dim, complex(np.vdot(u, w)))
+    )
+    results.append(CheckResult("ccr_mixed", mixed.max_abs(within=interior), ALGEBRA_TOL))
 
     # Lowering ladder rebuilt from first principles: sqrt(n_i) on occupation i.
     lowering_dev = 0.0
-    occupations = [tuple(occ) for occ in rep.occupations]
+    occupations = [tuple(occ) for occ in rep.occupations.tolist()]
     index = {occ: pos for pos, occ in enumerate(occupations)}
     for mode in range(rep.d):
-        direct = np.zeros((rep.dim, rep.dim))
+        rows, cols, values = [], [], []
         for pos, occ in enumerate(occupations):
             if occ[mode] > 0:
                 lowered = list(occ)
                 lowered[mode] -= 1
-                direct[index[tuple(lowered)], pos] = math.sqrt(occ[mode])
+                rows.append(index[tuple(lowered)])
+                cols.append(pos)
+                values.append(math.sqrt(occ[mode]))
+        direct = SparseOperand(
+            np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(values, dtype=complex)
+        )
         basis_vec = np.zeros(rep.d)
         basis_vec[mode] = 1.0
-        lowering_dev = max(lowering_dev, _max_abs(annihilation_matrix(basis_vec, rep) - direct))
+        ladder = annihilation_operator(basis_vec, rep)(identity)
+        lowering_dev = max(lowering_dev, (ladder - direct).max_abs())
     vec_f = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     vec_g = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-    pairing_dev = abs(np.vdot(c_u @ vec_f, vec_g) - np.vdot(vec_f, a_u @ vec_g))
+    raised_f = c_u(SparseOperand.vector(vec_f)).to_vector(rep.dim)
+    lowered_g = a_u(SparseOperand.vector(vec_g)).to_vector(rep.dim)
+    pairing_dev = abs(np.vdot(raised_f, vec_g) - np.vdot(vec_f, lowered_g))
     results.append(CheckResult("adjointness", max(lowering_dev, float(pairing_dev)), ALGEBRA_TOL))
 
-    number_dev = _max_abs(number_operator(rep) - np.diag(rep.total_occupations()))
-    results.append(CheckResult("number_operator", number_dev, ALGEBRA_TOL))
+    counted = number_operator(rep) - SparseOperand.diagonal(rep.total_occupations())
+    results.append(CheckResult("number_operator", counted.max_abs(), ALGEBRA_TOL))
 
     # Random observables drawn inside the retained span, so the checks stay
     # valid when the quotient has discarded null directions.
     coeff_stack = np.stack([obs.coeffs for obs in context.observables], axis=1)
     span_basis = coeff_stack @ context.transform
     combo_real = LinearObservable(span_basis @ rng.normal(size=context.d))
-    op_real = field_operator(combo_real, context, rep)
-    results.append(CheckResult("field_hermitian", _max_abs(op_real - op_real.conj().T), ALGEBRA_TOL))
+    op_real = field_operator(combo_real, context, rep)(identity)
+    results.append(
+        CheckResult("field_hermitian", (op_real - op_real.adjoint()).max_abs(), ALGEBRA_TOL)
+    )
 
     mix = rng.normal(size=(2, context.d)) + 1j * rng.normal(size=(2, context.d))
     combo_a = LinearObservable(span_basis @ mix[0])
@@ -586,7 +710,8 @@ def algebra_report(
 
     op_a = field_operator(combo_a, context, rep)
     vacuum = rep.vacuum()
-    variance = complex(np.vdot(vacuum, op_a @ op_a @ vacuum))
+    excited = op_a(op_a(SparseOperand.vector(vacuum))).to_vector(rep.dim)
+    variance = complex(np.vdot(vacuum, excited))
     expected = context.inner_product(combo_a, combo_a)
     results.append(
         CheckResult(

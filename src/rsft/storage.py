@@ -1,13 +1,18 @@
 """Checkpoint files, CSV emission, and the conservation log.
 
-Checkpoint format, version 1: the ASCII header line `RSFT-CKPT v1`, then a
+Checkpoint format, version 2: the ASCII header line `RSFT-CKPT v2`, then a
 fixed-order little-endian binary payload (site count, the two field arrays,
 the bath scalar and momentum, the reference action, the step count, the
-generator algorithm identifier and its serialized state), and a CRC-32 of
-the payload.  Round trips are bit-exact, so a resumed trajectory reproduces
-the unbroken one exactly.  A checkpoint is written to a temporary file in
-the same directory and renamed onto its path, so a crash mid-write leaves
-the previous checkpoint intact.
+generator algorithm identifier and its serialized state, then the physics
+record), and a CRC-32 of the payload.  The physics record is a
+length-prefixed UTF-8 JSON object of the config values the trajectory
+depends on beyond the site count (`action.kind`, `dynamics.dlambda`), so a
+resume under different physics is refused.  Version 1 (header
+`RSFT-CKPT v1`) is the same payload without the physics record; it stays
+readable and carries no physics to check.  Round trips are bit-exact, so a
+resumed trajectory reproduces the unbroken one exactly.  A checkpoint is
+written to a temporary file in the same directory and renamed onto its
+path, so a crash mid-write leaves the previous checkpoint intact.
 
 Every CSV starts with `# key = value` comment lines carrying the fully
 resolved configuration and seed; floating-point values use 17 significant
@@ -20,14 +25,15 @@ import json
 import os
 import struct
 import zlib
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .dynamics import ExtendedState
 from .estimators import CorrelatorGrid
 
-CHECKPOINT_MAGIC = b"RSFT-CKPT v1\n"
+CHECKPOINT_MAGIC = b"RSFT-CKPT v2\n"
+_CHECKPOINT_MAGIC_V1 = b"RSFT-CKPT v1\n"
 _SUPPORTED_GENERATORS = {"PCG64": np.random.PCG64}
 
 
@@ -39,11 +45,23 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_checkpoint(path, state: ExtendedState, rng: np.random.Generator) -> None:
+def _json_bytes(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def write_checkpoint(
+    path,
+    state: ExtendedState,
+    rng: np.random.Generator,
+    physics: Mapping[str, str | float] | None = None,
+) -> None:
+    """Write the state and generator, with the physics record (config key
+    to value) that a resume must match."""
     algorithm = type(rng.bit_generator).__name__
     if algorithm not in _SUPPORTED_GENERATORS:
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
-    rng_state = json.dumps(rng.bit_generator.state, sort_keys=True, separators=(",", ":"))
+    rng_state = _json_bytes(rng.bit_generator.state)
+    physics_record = _json_bytes(dict(physics or {}))
     n = state.phi.shape[0]
     parts = [
         struct.pack("<Q", n),
@@ -53,8 +71,10 @@ def write_checkpoint(path, state: ExtendedState, rng: np.random.Generator) -> No
         struct.pack("<Q", state.step_count),
         struct.pack("<I", len(algorithm.encode())),
         algorithm.encode(),
-        struct.pack("<I", len(rng_state.encode())),
-        rng_state.encode(),
+        struct.pack("<I", len(rng_state)),
+        rng_state,
+        struct.pack("<I", len(physics_record)),
+        physics_record,
     ]
     payload = b"".join(parts)
     checksum = struct.pack("<I", zlib.crc32(payload))
@@ -84,12 +104,17 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def read_checkpoint(path) -> tuple[ExtendedState, np.random.Generator]:
+def read_checkpoint(
+    path, expect: Mapping[str, str | float] | None = None
+) -> tuple[ExtendedState, np.random.Generator]:
+    """Read a version 1 or 2 checkpoint.  Every `expect` key that the
+    physics record holds must have the same value there."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if not blob.startswith(CHECKPOINT_MAGIC):
+    magic = next((m for m in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1) if blob.startswith(m)), None)
+    if magic is None:
         raise CheckpointError("not a checkpoint file or unsupported version")
-    body = blob[len(CHECKPOINT_MAGIC) :]
+    body = blob[len(magic) :]
     if len(body) < 4:
         raise CheckpointError("truncated checkpoint payload")
     payload, stored = body[:-4], struct.unpack("<I", body[-4:])[0]
@@ -105,8 +130,18 @@ def read_checkpoint(path) -> tuple[ExtendedState, np.random.Generator]:
     algorithm = reader.take(alg_len).decode()
     (state_len,) = reader.unpack("<I")
     rng_state = json.loads(reader.take(state_len).decode())
+    physics = {}
+    if magic == CHECKPOINT_MAGIC:
+        (physics_len,) = reader.unpack("<I")
+        physics = json.loads(reader.take(physics_len).decode())
     if reader.offset != len(payload):
         raise CheckpointError("trailing bytes in checkpoint payload")
+    for key, value in (expect or {}).items():
+        if key in physics and physics[key] != value:
+            raise CheckpointError(
+                f"checkpoint was written with {key} = {physics[key]} "
+                f"but the config sets {key} = {value}"
+            )
     if algorithm not in _SUPPORTED_GENERATORS:
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
     bit_generator = _SUPPORTED_GENERATORS[algorithm]()

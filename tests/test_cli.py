@@ -1,3 +1,4 @@
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ output.log_every = 1000
 output.checkpoint_every = 5000
 mgf.pairs = 0:0,0:1,2:2,3:5
 """
+
+
+SMOKE_CFG = Path(__file__).parent.parent / "configs" / "smoke.cfg"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -105,6 +109,27 @@ class TestResume:
         resume_rows = data_rows(tmp_path / "broken" / "conservation_resume.csv")
         assert part_rows + resume_rows == whole_rows
 
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("dynamics.dlambda", ("dynamics.dlambda = 0.01", "dynamics.dlambda = 0.02")),
+            ("action.kind", ("action.kind = free_collective", "action.kind = free")),
+        ],
+    )
+    def test_resume_under_other_physics_errors(self, tmp_path, capsys, key, change):
+        part = BASE.replace("dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 4000")
+        cfg_part = write_config(tmp_path, part + f"output.dir = {tmp_path}/out\n", "part.cfg")
+        assert main(["simulate", "--config", cfg_part]) == 0
+        capsys.readouterr()
+        other = BASE.replace(*change)
+        cfg_other = write_config(tmp_path, other + f"output.dir = {tmp_path}/out\n", "other.cfg")
+        checkpoint = str(tmp_path / "out" / "checkpoint.ckpt")
+        assert main(["resume", "--config", cfg_other, "--checkpoint", checkpoint]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "conservation_resume.csv").exists()
+
     def test_resume_beyond_config_total_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/out\n")
         assert main(["simulate", "--config", cfg]) == 0
@@ -177,6 +202,21 @@ class TestFockCheck:
         rows = data_rows(tmp_path / "fock_report.csv")
         assert len(rows) >= 9
         assert all(row.endswith(",True") for row in rows)
+
+    def test_many_observables_at_n_max_one(self, tmp_path, capsys):
+        # dimension 41, while the cube {0, 1}^40 has 2^40 tuples
+        smoke = "".join(
+            line for line in SMOKE_CFG.read_text().splitlines(keepends=True)
+            if not line.startswith("output.dir")
+        )
+        cfg = write_config(
+            tmp_path, smoke + f"fock.n_observables = 40\nfock.n_max = 1\noutput.dir = {tmp_path}\n"
+        )
+        assert main(["fock-check", "--config", cfg]) == 0
+        assert "PASS" in capsys.readouterr().out
+        header = (tmp_path / "fock_report.csv").read_text()
+        assert "# one_particle_dim = 40" in header
+        assert "# fock_dim = 41" in header
 
     def test_config_overrides_observable_count(self, tmp_path):
         cfg = write_config(tmp_path, BASE + f"fock.n_observables = 2\noutput.dir = {tmp_path}\n")

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from rsft.operator_algebra import (
     GramAccumulator,
     HilbertContext,
     LinearObservable,
+    SparseOperand,
     algebra_report,
-    annihilation_matrix,
+    annihilation_operator,
     commutator_check,
-    creation_matrix,
+    creation_operator,
     field_operator,
     gram_exact,
     microcausality_ratio,
@@ -166,6 +168,72 @@ def symmetric_power_ladder_factor(n):
     return math.sqrt(math.factorial(n + 1) / math.factorial(n))
 
 
+def dense(operand, dim):
+    """The dim x dim matrix of a sparse operand, repeated entries summed."""
+    matrix = np.zeros((dim, dim), dtype=complex)
+    np.add.at(matrix, (operand.rows, operand.cols), operand.values)
+    return matrix
+
+
+def identity(rep):
+    return SparseOperand.diagonal(np.ones(rep.dim))
+
+
+def matrix_of(operator, rep):
+    return dense(operator(identity(rep)), rep.dim)
+
+
+def apply_to_vector(operator, rep, vec):
+    return operator(SparseOperand.vector(vec)).to_vector(rep.dim)
+
+
+def brute_force_occupations(d, n_max):
+    """Every tuple in {0..n_max}^d with total at most n_max, sorted by
+    (total, tuple)."""
+    return sorted(
+        (occ for occ in product(range(n_max + 1), repeat=d) if sum(occ) <= n_max),
+        key=lambda occ: (sum(occ), occ),
+    )
+
+
+def dense_creation_ladders(rep):
+    """First-principles dense raising ladders, one per mode: the basis state
+    with occupation n goes to n + e_mode with amplitude sqrt(n_mode + 1)
+    while the total stays within n_max."""
+    occupations = [tuple(int(x) for x in occ) for occ in rep.occupations]
+    index = {occ: pos for pos, occ in enumerate(occupations)}
+    ladders = []
+    for mode in range(rep.d):
+        matrix = np.zeros((rep.dim, rep.dim))
+        for pos, occ in enumerate(occupations):
+            if sum(occ) < rep.n_max:
+                raised = list(occ)
+                raised[mode] += 1
+                matrix[index[tuple(raised)], pos] = math.sqrt(occ[mode] + 1)
+        ladders.append(matrix)
+    return ladders
+
+
+class TestFockBasis:
+    @pytest.mark.parametrize("d, n_max", list(product(range(1, 5), range(0, 5))))
+    def test_direct_enumeration_matches_brute_force(self, d, n_max):
+        rep = FockRep.build(d, n_max)
+        assert [tuple(occ) for occ in rep.occupations.tolist()] == brute_force_occupations(d, n_max)
+
+    def test_enumeration_does_not_visit_the_cube(self):
+        # (1 + 1)^40 tuples: the brute force would never finish.
+        rep = FockRep.build(40, 1)
+        assert rep.dim == 41
+        np.testing.assert_array_equal(rep.occupations[1:], np.fliplr(np.eye(40, dtype=int)))
+
+    def test_stored_arrays_are_linear_in_dimension(self):
+        rep = FockRep.build(4, 6)
+        arrays = [value for value in vars(rep).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 4
+        for array in arrays:
+            assert array.size == rep.d * rep.dim
+
+
 class TestFockLadders:
     def test_dimension_is_binomial(self):
         rep = FockRep.build(3, 4)
@@ -179,21 +247,21 @@ class TestFockLadders:
 
     def test_single_mode_ladder_entries_match_factorial_oracle(self):
         rep = FockRep.build(1, 2)
-        matrix = creation_matrix(np.array([1.0 + 0.0j]), rep)
+        matrix = matrix_of(creation_operator(np.array([1.0 + 0.0j]), rep), rep)
         assert matrix[1, 0] == pytest.approx(symmetric_power_ladder_factor(0))  # 1
         assert matrix[2, 1] == pytest.approx(symmetric_power_ladder_factor(1))  # sqrt 2
         assert np.count_nonzero(matrix) == 2
 
     def test_annihilation_entries_are_transpose(self):
         rep = FockRep.build(1, 2)
-        matrix = annihilation_matrix(np.array([1.0 + 0.0j]), rep)
+        matrix = matrix_of(annihilation_operator(np.array([1.0 + 0.0j]), rep), rep)
         assert matrix[0, 1] == pytest.approx(1.0)
         assert matrix[1, 2] == pytest.approx(math.sqrt(2.0))
 
     def test_creation_on_vacuum_gives_one_particle_state(self):
         rep = FockRep.build(3, 3)
         v = np.array([0.3, -0.5j, 0.8])
-        state = creation_matrix(v, rep) @ rep.vacuum()
+        state = apply_to_vector(creation_operator(v, rep), rep, rep.vacuum())
         one_particle = np.flatnonzero(rep.total_occupations() == 1)
         np.testing.assert_allclose(np.delete(state, one_particle), 0.0, atol=1e-15)
         # one-particle block carries exactly v (occupation order is by mode
@@ -209,15 +277,19 @@ class TestFockLadders:
         u = np.array([0.2, -1.1j])
         w = np.array([0.5j, 0.3])
         alpha = 1.7 - 0.2j
-        lhs = creation_matrix(alpha * u + w, rep)
-        rhs = alpha * creation_matrix(u, rep) + creation_matrix(w, rep)
+        lhs = matrix_of(creation_operator(alpha * u + w, rep), rep)
+        rhs = alpha * matrix_of(creation_operator(u, rep), rep) + matrix_of(
+            creation_operator(w, rep), rep
+        )
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_annihilation_kills_vacuum(self):
         rep = FockRep.build(3, 2)
         rng = np.random.default_rng(5)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        np.testing.assert_array_equal(annihilation_matrix(v, rep) @ rep.vacuum(), 0.0)
+        np.testing.assert_array_equal(
+            apply_to_vector(annihilation_operator(v, rep), rep, rep.vacuum()), 0.0
+        )
 
     def test_adjoint_pairing_identity(self):
         rep = FockRep.build(2, 3)
@@ -225,8 +297,8 @@ class TestFockLadders:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         f = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
         g = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-        lhs = np.vdot(creation_matrix(v, rep) @ f, g)
-        rhs = np.vdot(f, annihilation_matrix(v, rep) @ g)
+        lhs = np.vdot(apply_to_vector(creation_operator(v, rep), rep, f), g)
+        rhs = np.vdot(f, apply_to_vector(annihilation_operator(v, rep), rep, g))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_ccr_on_interior_subspace(self):
@@ -234,35 +306,88 @@ class TestFockLadders:
         rng = np.random.default_rng(7)
         u = rng.normal(size=3) + 1j * rng.normal(size=3)
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
-        a_u = annihilation_matrix(u, rep)
-        a_w = annihilation_matrix(w, rep)
-        c_w = creation_matrix(w, rep)
+        a_u = annihilation_operator(u, rep)
+        a_w = annihilation_operator(w, rep)
+        c_w = creation_operator(w, rep)
+        one = identity(rep)
         interior = rep.interior_indices()
-        sub = np.ix_(interior, interior)
-        assert np.abs(a_u @ a_w - a_w @ a_u).max() <= 1e-12
-        mixed = a_u @ c_w - c_w @ a_u - np.vdot(u, w) * np.eye(rep.dim)
-        assert np.abs(mixed[sub]).max() <= 1e-12
+        assert (a_u(a_w(one)) - a_w(a_u(one))).max_abs() <= 1e-12
+        mixed = a_u(c_w(one)) - c_w(a_u(one)) - SparseOperand.diagonal(
+            np.full(rep.dim, np.vdot(u, w))
+        )
+        assert mixed.max_abs(within=interior) <= 1e-12
 
     def test_truncation_boundary_breaks_ccr_outside_interior(self):
         # On the full truncated space the mixed commutator must deviate:
         # the interior restriction is what makes it an exact identity.
         rep = FockRep.build(2, 3)
         u = np.array([1.0 + 0j, 0.0])
-        a_u = annihilation_matrix(u, rep)
-        c_u = creation_matrix(u, rep)
-        mixed = a_u @ c_u - c_u @ a_u - np.eye(rep.dim)
-        assert np.abs(mixed).max() > 0.5
+        a_u = annihilation_operator(u, rep)
+        c_u = creation_operator(u, rep)
+        one = identity(rep)
+        mixed = a_u(c_u(one)) - c_u(a_u(one)) - one
+        assert mixed.max_abs() > 0.5
 
     def test_number_operator_counts_total_occupation(self):
         rep = FockRep.build(3, 3)
         np.testing.assert_allclose(
-            number_operator(rep), np.diag(rep.total_occupations()), atol=1e-12
+            dense(number_operator(rep), rep.dim), np.diag(rep.total_occupations()), atol=1e-12
         )
 
     def test_interior_requires_positive_truncation(self):
         rep = FockRep.build(2, 0)
         with pytest.raises(AlgebraError):
             rep.interior_indices()
+
+
+class TestSparseAgainstDenseReference:
+    """The sparse ladders and their products against dense matrices built
+    from first principles, on the full truncated space."""
+
+    SHAPES = [(1, 3), (2, 1), (2, 4), (3, 3), (4, 2)]
+
+    @pytest.mark.parametrize("d, n_max", SHAPES)
+    def test_mode_ladders_equal_dense_reference(self, d, n_max):
+        rep = FockRep.build(d, n_max)
+        for unit, ladder in zip(np.eye(d), dense_creation_ladders(rep)):
+            np.testing.assert_array_equal(matrix_of(creation_operator(unit, rep), rep), ladder)
+            np.testing.assert_array_equal(
+                matrix_of(annihilation_operator(unit, rep), rep), ladder.T
+            )
+
+    @pytest.mark.parametrize("d, n_max", SHAPES)
+    def test_products_and_commutators_equal_dense_matmuls(self, d, n_max):
+        rep = FockRep.build(d, n_max)
+        rng = np.random.default_rng(13)
+        u, w = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+        ladders = dense_creation_ladders(rep)
+        c_dense = {
+            "u": sum(coef * ladder for coef, ladder in zip(u, ladders)),
+            "w": sum(coef * ladder for coef, ladder in zip(w, ladders)),
+        }
+        dense_ops = {
+            "c_u": c_dense["u"],
+            "c_w": c_dense["w"],
+            "a_u": c_dense["u"].conj().T,
+            "a_w": c_dense["w"].conj().T,
+        }
+        sparse_ops = {
+            "c_u": creation_operator(u, rep),
+            "c_w": creation_operator(w, rep),
+            "a_u": annihilation_operator(u, rep),
+            "a_w": annihilation_operator(w, rep),
+        }
+        one = identity(rep)
+        for left, right in product(sparse_ops, repeat=2):
+            product_sparse = dense(sparse_ops[left](sparse_ops[right](one)), rep.dim)
+            product_dense = dense_ops[left] @ dense_ops[right]
+            np.testing.assert_allclose(product_sparse, product_dense, rtol=0, atol=1e-14)
+            commutator = sparse_ops[left](sparse_ops[right](one)) - sparse_ops[right](
+                sparse_ops[left](one)
+            )
+            reference = product_dense - dense_ops[right] @ dense_ops[left]
+            np.testing.assert_allclose(dense(commutator, rep.dim), reference, rtol=0, atol=1e-14)
+            assert commutator.max_abs() == pytest.approx(np.abs(reference).max(), abs=1e-14)
 
 
 @pytest.fixture
@@ -280,7 +405,7 @@ def oracle_context():
 class TestFieldOperators:
     def test_field_operator_is_hermitian(self, oracle_context):
         rep = FockRep.build(oracle_context.d, 4)
-        op = field_operator(oracle_context.observables[0], oracle_context, rep)
+        op = matrix_of(field_operator(oracle_context.observables[0], oracle_context, rep), rep)
         np.testing.assert_allclose(op, op.conj().T, atol=1e-13)
 
     def test_vacuum_variance_equals_norm(self, oracle_context):
@@ -288,7 +413,7 @@ class TestFieldOperators:
         obs = oracle_context.observables[1]
         op = field_operator(obs, oracle_context, rep)
         vacuum = rep.vacuum()
-        variance = np.vdot(vacuum, op @ op @ vacuum)
+        variance = np.vdot(vacuum, apply_to_vector(op, rep, apply_to_vector(op, rep, vacuum)))
         assert variance == pytest.approx(
             oracle_context.inner_product(obs, obs), abs=1e-10
         )
@@ -346,7 +471,7 @@ class TestFieldOperators:
         combo = LinearObservable(
             observables[0].coeffs - 0.5j * observables[2].coeffs
         )
-        op = field_operator(combo, context, rep)
+        op = matrix_of(field_operator(combo, context, rep), rep)
         np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
         assert (
             commutator_check(combo, observables[1], context, rep)

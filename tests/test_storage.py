@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from rsft.storage import (
 )
 
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
+PHYSICS = {"action.kind": "free_collective", "dynamics.dlambda": 0.01}
+# Written by the version 1 writer from `setup_run()` advanced 137 steps.
+CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.ckpt"
 
 
 def setup_run(n_per_axis=3, seed=5):
@@ -75,6 +79,29 @@ class TestCheckpoint:
         loaded, _ = read_checkpoint(path)
         np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
         assert os.listdir(tmp_path) == ["state.ckpt"]
+
+    def test_physics_record_is_checked_on_read(self, tmp_path):
+        params, state, rng = setup_run()
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state, rng, PHYSICS)
+        loaded, _ = read_checkpoint(path, expect=PHYSICS)
+        np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
+        with pytest.raises(CheckpointError, match="dynamics.dlambda = 0.01 .* 0.02"):
+            read_checkpoint(path, expect={**PHYSICS, "dynamics.dlambda": 0.02})
+        with pytest.raises(CheckpointError, match="action.kind"):
+            read_checkpoint(path, expect={**PHYSICS, "action.kind": "free"})
+
+    def test_version_1_file_stays_readable(self):
+        params, state, rng = setup_run()
+        state = run(state, params, 137)
+        assert CHECKPOINT_V1.read_bytes().startswith(b"RSFT-CKPT v1\n")
+        # a version 1 file records no physics, so there is nothing to refuse
+        loaded, loaded_rng = read_checkpoint(CHECKPOINT_V1, expect=PHYSICS)
+        np.testing.assert_array_equal(loaded.phi, state.phi)
+        np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
+        assert (loaded.s, loaded.pi_s, loaded.s0) == (state.s, state.pi_s, state.s0)
+        assert loaded.step_count == 137
+        assert loaded_rng.bit_generator.state == rng.bit_generator.state
 
     def test_corrupted_byte_is_detected(self, tmp_path):
         params, state, rng = setup_run()
