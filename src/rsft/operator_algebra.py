@@ -261,8 +261,7 @@ class FockRep:
     the first basis vector and the dimension is C(d + n_max, d).  Each mode
     ladder is stored as index maps, O(d * dim) numbers in all: `_raised[m, j]`
     is the basis index of state j with one more quantum in mode m (-1 where
-    that leaves the truncation), `_lowered[m]` is the inverse map, and
-    `_amplitude[m, j]` is sqrt(n_m + 1) for the state j at the lower end.
+    that leaves the truncation), and `_lowered[m]` is the inverse map.
     """
 
     d: int
@@ -270,7 +269,6 @@ class FockRep:
     occupations: np.ndarray
     _raised: np.ndarray = field(repr=False)
     _lowered: np.ndarray = field(repr=False)
-    _amplitude: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, d: int, n_max: int) -> "FockRep":
@@ -300,7 +298,7 @@ class FockRep:
         lowered = np.full((d, dim), -1)
         mode_of, source = np.nonzero(raised >= 0)
         lowered[mode_of, raised[mode_of, source]] = source
-        return cls(d, n_max, occupations, raised, lowered, np.sqrt(occupations.T + 1.0))
+        return cls(d, n_max, occupations, raised, lowered)
 
     @property
     def dim(self) -> int:
@@ -404,9 +402,9 @@ class LadderOperator:
         modes = np.flatnonzero(coeffs)
         target = targets[modes][:, operand.rows]
         keep = target >= 0
-        # the amplitude of a ladder step belongs to its lower state
-        lower = np.broadcast_to(operand.rows, target.shape) if up else target
-        amplitude = np.take_along_axis(self.rep._amplitude[modes], lower, axis=1)
+        # the amplitude sqrt(n_m + 1) of a ladder step belongs to its lower state
+        lower = operand.rows[None, :] if up else target
+        amplitude = np.sqrt(self.rep.occupations[lower, modes[:, None]] + 1.0)
         values = coeffs[modes, None] * amplitude * operand.values
         cols = np.broadcast_to(operand.cols, target.shape)
         return SparseOperand(target[keep], cols[keep], values[keep])

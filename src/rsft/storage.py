@@ -7,7 +7,8 @@ generator algorithm identifier and its serialized state, then the physics
 record), and a CRC-32 of the payload.  The physics record is a
 length-prefixed UTF-8 JSON object of the config values the trajectory
 depends on beyond the site count (`action.kind`, `dynamics.dlambda`), so a
-resume under different physics is refused.  Version 1 (header
+resume under different physics, or from a record that lacks one of them,
+is refused.  Version 1 (header
 `RSFT-CKPT v1`) is the same payload without the physics record; it stays
 readable and carries no physics to check.  Round trips are bit-exact, so a
 resumed trajectory reproduces the unbroken one exactly.  A checkpoint is
@@ -53,7 +54,7 @@ def write_checkpoint(
     path,
     state: ExtendedState,
     rng: np.random.Generator,
-    physics: Mapping[str, str | float] | None = None,
+    physics: Mapping[str, str | float],
 ) -> None:
     """Write the state and generator, with the physics record (config key
     to value) that a resume must match."""
@@ -61,7 +62,7 @@ def write_checkpoint(
     if algorithm not in _SUPPORTED_GENERATORS:
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
     rng_state = _json_bytes(rng.bit_generator.state)
-    physics_record = _json_bytes(dict(physics or {}))
+    physics_record = _json_bytes(dict(physics))
     n = state.phi.shape[0]
     parts = [
         struct.pack("<Q", n),
@@ -105,10 +106,11 @@ class _Reader:
 
 
 def read_checkpoint(
-    path, expect: Mapping[str, str | float] | None = None
+    path, expect: Mapping[str, str | float]
 ) -> tuple[ExtendedState, np.random.Generator]:
-    """Read a version 1 or 2 checkpoint.  Every `expect` key that the
-    physics record holds must have the same value there."""
+    """Read a version 1 or 2 checkpoint.  A version 2 physics record must
+    hold every `expect` key with the same value; a version 1 file has no
+    record and is not checked."""
     with open(path, "rb") as handle:
         blob = handle.read()
     magic = next((m for m in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1) if blob.startswith(m)), None)
@@ -130,14 +132,16 @@ def read_checkpoint(
     algorithm = reader.take(alg_len).decode()
     (state_len,) = reader.unpack("<I")
     rng_state = json.loads(reader.take(state_len).decode())
-    physics = {}
+    physics = None
     if magic == CHECKPOINT_MAGIC:
         (physics_len,) = reader.unpack("<I")
         physics = json.loads(reader.take(physics_len).decode())
     if reader.offset != len(payload):
         raise CheckpointError("trailing bytes in checkpoint payload")
-    for key, value in (expect or {}).items():
-        if key in physics and physics[key] != value:
+    for key, value in expect.items() if physics is not None else ():
+        if key not in physics:
+            raise CheckpointError(f"checkpoint records no {key}")
+        if physics[key] != value:
             raise CheckpointError(
                 f"checkpoint was written with {key} = {physics[key]} "
                 f"but the config sets {key} = {value}"

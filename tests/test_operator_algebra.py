@@ -229,7 +229,7 @@ class TestFockBasis:
     def test_stored_arrays_are_linear_in_dimension(self):
         rep = FockRep.build(4, 6)
         arrays = [value for value in vars(rep).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 4
+        assert len(arrays) == 3
         for array in arrays:
             assert array.size == rep.d * rep.dim
 

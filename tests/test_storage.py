@@ -38,8 +38,8 @@ class TestCheckpoint:
         params, state, rng = setup_run()
         state = run(state, params, 137)
         path = tmp_path / "state.ckpt"
-        write_checkpoint(path, state, rng)
-        loaded, loaded_rng = read_checkpoint(path)
+        write_checkpoint(path, state, rng, PHYSICS)
+        loaded, loaded_rng = read_checkpoint(path, PHYSICS)
         np.testing.assert_array_equal(loaded.phi, state.phi)
         np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
         assert loaded.s == state.s
@@ -53,8 +53,8 @@ class TestCheckpoint:
         whole = run(state, params, 400)
         part = run(state, params, 150)
         path = tmp_path / "mid.ckpt"
-        write_checkpoint(path, part, rng)
-        resumed, _ = read_checkpoint(path)
+        write_checkpoint(path, part, rng, PHYSICS)
+        resumed, _ = read_checkpoint(path, PHYSICS)
         rest = run(resumed, params, 250)
         np.testing.assert_array_equal(rest.phi, whole.phi)
         np.testing.assert_array_equal(rest.pi_phi, whole.pi_phi)
@@ -65,7 +65,7 @@ class TestCheckpoint:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         params, state, rng = setup_run()
         path = tmp_path / "state.ckpt"
-        write_checkpoint(path, state, rng)
+        write_checkpoint(path, state, rng, PHYSICS)
         before = path.read_bytes()
 
         def crash(src, dst):
@@ -73,10 +73,10 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError, match="simulated crash"):
-            write_checkpoint(path, run(state, params, 50), rng)
+            write_checkpoint(path, run(state, params, 50), rng, PHYSICS)
         monkeypatch.undo()
         assert path.read_bytes() == before
-        loaded, _ = read_checkpoint(path)
+        loaded, _ = read_checkpoint(path, PHYSICS)
         np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
         assert os.listdir(tmp_path) == ["state.ckpt"]
 
@@ -90,6 +90,13 @@ class TestCheckpoint:
             read_checkpoint(path, expect={**PHYSICS, "dynamics.dlambda": 0.02})
         with pytest.raises(CheckpointError, match="action.kind"):
             read_checkpoint(path, expect={**PHYSICS, "action.kind": "free"})
+
+    def test_record_without_an_expected_key_is_refused(self, tmp_path):
+        params, state, rng = setup_run()
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state, rng, {"action.kind": "free_collective"})
+        with pytest.raises(CheckpointError, match="records no dynamics.dlambda"):
+            read_checkpoint(path, expect=PHYSICS)
 
     def test_version_1_file_stays_readable(self):
         params, state, rng = setup_run()
@@ -106,27 +113,27 @@ class TestCheckpoint:
     def test_corrupted_byte_is_detected(self, tmp_path):
         params, state, rng = setup_run()
         path = tmp_path / "state.ckpt"
-        write_checkpoint(path, state, rng)
+        write_checkpoint(path, state, rng, PHYSICS)
         blob = bytearray(path.read_bytes())
         blob[len(CHECKPOINT_MAGIC) + 20] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
-            read_checkpoint(path)
+            read_checkpoint(path, PHYSICS)
 
     def test_truncated_payload_is_detected(self, tmp_path):
         params, state, rng = setup_run()
         path = tmp_path / "state.ckpt"
-        write_checkpoint(path, state, rng)
+        write_checkpoint(path, state, rng, PHYSICS)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
-            read_checkpoint(path)
+            read_checkpoint(path, PHYSICS)
 
     def test_wrong_magic_is_detected(self, tmp_path):
         path = tmp_path / "other.ckpt"
         path.write_bytes(b"SOMETHING ELSE\n" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="version"):
-            read_checkpoint(path)
+            read_checkpoint(path, PHYSICS)
 
 
 class TestCsvEmission:
