@@ -55,7 +55,6 @@ from .operator_algebra import (
 )
 from .oracles import (
     ExactCovariance,
-    OracleUnavailableError,
     exact_covariance,
     expected_correlator,
     pauli_jordan_discrete,

@@ -1,8 +1,17 @@
-"""Matter actions, their gradients, and the extended bath action.
+"""The Gaussian matter action, its gradient, and the extended bath action.
 
-The matter action is a Gaussian functional of the field values; the extended
-action adds the conjugate-field kinetic term, the bath kinetic term, and a
-logarithmic bath potential:
+Both matter actions are one quadratic form in the field values,
+
+    S_m[phi] = phi^T M phi / 2,    M = I + c ones ones^T,
+
+and differ only in the coupling c of the collective square: c = 0 for
+`free` (every mode evolves on its own) and c = 1 for `free_collective`
+(every mode is coupled to the field sum).  Each `MatterActionKind` carries
+its c; the action, its gradient M phi and the ensemble covariance
+M^{-1} / beta of `oracles` are all computed from it.
+
+The extended action adds the conjugate-field kinetic term, the bath
+kinetic term, and a logarithmic bath potential:
 
     S_x = sum_p pi_phi(p)^2 / (2 s^2) + pi_s^2 / (2 m_s)
           + S_m[phi] + (n_f / beta) ln s
@@ -21,17 +30,21 @@ import numpy as np
 
 
 class MatterActionKind(enum.Enum):
-    """Choice of Gaussian matter action.
+    """Choice of Gaussian matter action, by its config name, carrying the
+    coupling c of M = I + c ones ones^T.
 
     FREE:            S_m[phi] = sum_p phi(p)^2 / 2
     FREE_COLLECTIVE: S_m[phi] = sum_p phi(p)^2 / 2 + (sum_p phi(p))^2 / 2
-
-    The collective square couples every mode to the field sum; without it
-    the modes evolve independently.
     """
 
-    FREE = "free"
-    FREE_COLLECTIVE = "free_collective"
+    FREE = ("free", 0.0)
+    FREE_COLLECTIVE = ("free_collective", 1.0)
+
+    def __new__(cls, label: str, coupling: float):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.coupling = coupling
+        return member
 
 
 @dataclass(frozen=True)
@@ -53,18 +66,13 @@ class BathParams:
 
 
 def matter_action(kind: MatterActionKind, phi: np.ndarray) -> float:
-    value = 0.5 * float(phi @ phi)
-    if kind is MatterActionKind.FREE_COLLECTIVE:
-        value += 0.5 * float(np.sum(phi)) ** 2
-    return value
+    """phi^T M phi / 2 = phi . phi / 2 + c (sum phi)^2 / 2."""
+    return 0.5 * float(phi @ phi) + kind.coupling * (0.5 * float(np.sum(phi)) ** 2)
 
 
 def matter_grad(kind: MatterActionKind, phi: np.ndarray) -> np.ndarray:
-    """Componentwise derivative of the matter action."""
-    grad = phi.copy()
-    if kind is MatterActionKind.FREE_COLLECTIVE:
-        grad += np.sum(phi)
-    return grad
+    """Componentwise derivative of the matter action, M phi = phi + c sum phi."""
+    return phi + kind.coupling * np.sum(phi)
 
 
 def extended_action(

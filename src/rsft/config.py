@@ -89,7 +89,6 @@ _REQUIRED_KEYS = (
     "dynamics.sampling_steps",
 )
 
-_ACTION_KINDS = {"free": MatterActionKind.FREE, "free_collective": MatterActionKind.FREE_COLLECTIVE}
 _SHELL_KINDS = ("fixed", "global_dynamic", "local_dynamic")
 _MICRO_SOURCES = ("exact", "mc")
 
@@ -183,7 +182,7 @@ class RunConfig:
         return BathParams(self.beta, self.resolved_m_s, self.site_count)
 
     def matter_action_kind(self) -> MatterActionKind:
-        return _ACTION_KINDS[self.action_kind]
+        return MatterActionKind(self.action_kind)
 
     def shell(self) -> MassShell:
         if self.shell_kind == "fixed":
@@ -236,8 +235,9 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         fail("physics.mass", "must be nonnegative")
     if cfg.m_s is not None and not cfg.m_s > 0:
         fail("physics.m_s", "must be positive")
-    if cfg.action_kind not in _ACTION_KINDS:
-        fail("action.kind", f"must be one of {sorted(_ACTION_KINDS)}")
+    action_kinds = sorted(kind.value for kind in MatterActionKind)
+    if cfg.action_kind not in action_kinds:
+        fail("action.kind", f"must be one of {action_kinds}")
     if cfg.shell_kind not in _SHELL_KINDS:
         fail("shell.kind", f"must be one of {sorted(_SHELL_KINDS)}")
     if not cfg.dlambda > 0:

@@ -73,13 +73,6 @@ class MomentumLattice:
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
         return grid.reshape(-1, 3)
 
-    def nearest_site_index(self, p) -> int:
-        """Flat index of the lattice site closest to momentum p."""
-        p = np.asarray(p, dtype=float)
-        coords = np.rint(p / self.spacing + self._offset).astype(int)
-        coords = np.clip(coords, 0, self.n_per_axis - 1)
-        return self.site_index(*coords)
-
 
 @dataclass(frozen=True)
 class FixedShell:

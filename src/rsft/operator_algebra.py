@@ -1,10 +1,11 @@
 """Hilbert-space quotient, truncated bosonic Fock space, and field operators.
 
 Observables of the form phi(J) = sum_p phi(p) J(p) carry the inner product
-<O1, O2> = <conj(O1[phi]) O2[phi]>, estimated from a trajectory or evaluated
-exactly from a closed-form covariance.  Diagonalizing the Gram matrix of a
-finite observable family and discarding the (numerical) null directions
-yields an orthonormal one-particle basis; the bosonic Fock space over it is
+<O1, O2> = <conj(O1[phi]) O2[phi]>, estimated from a trajectory by the Gram
+accumulator or evaluated exactly from the closed-form covariance.
+Diagonalizing the exact Gram matrix of a finite observable family and
+discarding the (numerical) null directions yields an orthonormal
+one-particle basis; the bosonic Fock space over it is
 truncated by total occupation, making creation, annihilation and field
 operators finite.  They are kept sparse: each mode ladder is an index map
 with its amplitudes, and operators act on coordinate triples, so the
@@ -19,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .estimators import MIN_BATCHES, BatchMeans
+from .estimators import BatchMeans
 from .lattice import MomentumLattice, omega
 from .oracles import ExactCovariance
 
@@ -31,6 +32,15 @@ ALGEBRA_TOL = 1e-12
 ORACLE_NULLSPACE_TOL = 1e-10
 COORD_RESIDUAL_RTOL = 1e-8
 FOCK_DIMENSION_LIMIT = 20_000
+# The identity checks apply two ladder combinations to the identity, and each
+# application builds (d x entries) candidate arrays, so their memory grows
+# with d^2 * dim, which the dimension limit does not bound.  Peak RSS of
+# `fock-check` measured 88 MB at d = 60, n_max = 2 (d^2 dim = 6.8e6) and
+# 267 MB at d = 100, n_max = 2 (5.2e7), about 4 bytes per unit over a 60 MB
+# floor; this bound keeps n_max = 2 below about 0.45 GB.  Higher n_max costs
+# more per unit, but the dimension limit caps it: d = 47, n_max = 3
+# (dim 19 600) measured 592 MB.
+FOCK_PRODUCT_LIMIT = 100_000_000
 
 
 class AlgebraError(ValueError):
@@ -64,11 +74,6 @@ class GramMatrix:
     matrix: np.ndarray
     stderr_re: np.ndarray
     stderr_im: np.ndarray
-    n_samples: int | None = None
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def max_stderr(self) -> float:
@@ -93,7 +98,7 @@ def gram_exact(
         for j in range(k):
             matrix[i, j] = np.conj(obs_i.coeffs) @ images[j]
     zeros = np.zeros((k, k))
-    return GramMatrix(_hermitize(matrix), zeros, zeros, None)
+    return GramMatrix(_hermitize(matrix), zeros, zeros)
 
 
 class GramAccumulator:
@@ -125,8 +130,8 @@ class GramAccumulator:
         if se is None:
             k = len(self.observables)
             zeros = np.zeros((k, k))
-            return GramMatrix(matrix, zeros, zeros, self._acc.count)
-        return GramMatrix(matrix, se[0], se[1], self._acc.count)
+            return GramMatrix(matrix, zeros, zeros)
+        return GramMatrix(matrix, se[0], se[1])
 
 
 def quotient_orthonormalize(
@@ -154,11 +159,9 @@ def quotient_orthonormalize(
 class HilbertContext:
     """Observable family with its Gram matrix and orthonormal basis.
 
-    Provides the inner product between arbitrary linear observables and the
-    coordinates of an observable in the retained one-particle basis.  In
-    exact mode inner products come from the closed-form covariance; in
-    sampled mode an observable must lie in the span of the family, and its
-    combination coefficients are recovered by least squares.
+    Provides the inner product between arbitrary linear observables, from
+    the closed-form covariance, and the coordinates of an observable in the
+    retained one-particle basis.
     """
 
     def __init__(
@@ -166,14 +169,13 @@ class HilbertContext:
         observables: Sequence[LinearObservable],
         gram_matrix: GramMatrix,
         tol: float,
-        covariance: ExactCovariance | None = None,
+        covariance: ExactCovariance,
     ):
         self.observables = list(observables)
         self.gram = gram_matrix
         self.tol = tol
         self.covariance = covariance
         self.transform, self.d = quotient_orthonormalize(gram_matrix, tol)
-        self._coeff_stack = np.stack([obs.coeffs for obs in self.observables], axis=1)
 
     @classmethod
     def from_covariance(
@@ -184,52 +186,14 @@ class HilbertContext:
     ) -> "HilbertContext":
         return cls(observables, gram_exact(observables, covariance), tol, covariance)
 
-    @classmethod
-    def from_samples(
-        cls,
-        observables: Sequence[LinearObservable],
-        samples: Iterable[np.ndarray],
-        batch_len: int,
-        tol: float | None = None,
-    ) -> "HilbertContext":
-        acc = GramAccumulator(observables, batch_len)
-        for phi in samples:
-            acc.add(phi)
-        gram_matrix = acc.result()
-        if tol is None:
-            if gram_matrix.n_samples is None or gram_matrix.max_stderr == 0.0:
-                raise AlgebraError(
-                    "cannot derive a noise-based null-space tolerance without "
-                    f"at least {MIN_BATCHES} complete batches; pass tol explicitly"
-                )
-            max_eig = float(np.linalg.eigvalsh(gram_matrix.matrix)[-1])
-            tol = 5.0 * gram_matrix.max_stderr / max_eig
-        return cls(observables, gram_matrix, tol)
-
-    def _combination(self, obs: LinearObservable) -> np.ndarray:
-        coeffs, residual, *_ = np.linalg.lstsq(self._coeff_stack, obs.coeffs, rcond=None)
-        reconstruction = self._coeff_stack @ coeffs
-        misfit = float(np.linalg.norm(obs.coeffs - reconstruction))
-        scale = float(np.linalg.norm(obs.coeffs))
-        if misfit > 1e-10 * max(scale, 1.0):
-            raise AlgebraError(
-                "observable is not a combination of the sampled family "
-                f"(residual {misfit:.3e})"
-            )
-        return coeffs
-
     def inner_product(self, obs_a: LinearObservable, obs_b: LinearObservable) -> complex:
-        if self.covariance is not None:
-            return self.covariance.quadratic_form(obs_a.coeffs, obs_b.coeffs)
-        ca = self._combination(obs_a)
-        cb = self._combination(obs_b)
-        return complex(np.conj(ca) @ self.gram.matrix @ cb)
+        return self.covariance.quadratic_form(obs_a.coeffs, obs_b.coeffs)
 
     def coords(self, obs: LinearObservable, rtol: float | None = None) -> np.ndarray:
         """Coordinates of an observable in the orthonormal one-particle basis.
 
         Fails if the observable keeps a component in the discarded null
-        space (or outside the family span) beyond the relative tolerance,
+        space or outside the family span beyond the relative tolerance,
         which by default scales with the quotient tolerance.
         """
         if rtol is None:
@@ -279,6 +243,11 @@ class FockRep:
         dim = math.comb(d + n_max, d)
         if dim > FOCK_DIMENSION_LIMIT:
             raise AlgebraError(f"truncated space dimension {dim} exceeds limit")
+        if d * d * dim > FOCK_PRODUCT_LIMIT:
+            raise AlgebraError(
+                f"operator products of d^2 * dim = {d * d * dim} entries "
+                f"(d = {d}, dim = {dim}) exceed the limit {FOCK_PRODUCT_LIMIT}"
+            )
         # A state of total t is a multiset of t modes.  Combinations with
         # replacement list the multisets of each total in lexicographic
         # order, the reverse of the lexicographic order of the occupations.
@@ -640,7 +609,7 @@ def algebra_report(
         )
     )
     eigvals = np.linalg.eigvalsh(gram_matrix)
-    psd_tol = max(ALGEBRA_TOL * max(eigvals[-1], 1.0), 5.0 * context.gram.max_stderr)
+    psd_tol = ALGEBRA_TOL * max(eigvals[-1], 1.0)
     results.append(CheckResult("gram_positive", max(0.0, -float(eigvals[0])), psd_tol))
 
     identity = SparseOperand.diagonal(np.ones(rep.dim))

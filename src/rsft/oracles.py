@@ -1,14 +1,16 @@
 """Exact reference results for the Gaussian ensembles and their correlators.
 
-The sampled field marginal has density proportional to exp(-beta * S_m), so
-both matter actions admit closed-form covariances:
+The sampled field marginal has density proportional to exp(-beta * S_m)
+with S_m = phi^T M phi / 2 and M = I + c ones ones^T (see `action`), so the
+ensemble covariance is C = M^{-1} / beta.  The rank-one-update inverse
+identity gives it for any coupling c:
 
-    free:            C = (1/beta) I
-    free_collective: C = [beta (I + ones ones^T)]^{-1}
-                       = (1/beta) (I - ones ones^T / (N + 1))
+    C = (1/beta) (I - c ones ones^T / (1 + c N)),
 
-the latter by the rank-one-update inverse identity.  Spacetime correlator
-grids and the discrete commutator kernel are derived from these.
+a constant diagonal and a constant off-diagonal: (1/beta) I for `free`
+(c = 0) and (1/beta) (I - ones ones^T / (N + 1)) for `free_collective`
+(c = 1).  Spacetime correlator grids and the discrete commutator kernel are
+derived from it.
 """
 
 from __future__ import annotations
@@ -20,32 +22,16 @@ import numpy as np
 from .action import MatterActionKind
 from .lattice import MomentumLattice, omega
 
-DENSE_MATRIX_LIMIT = 4096
-
-
-class OracleUnavailableError(ValueError):
-    """No closed form exists for the requested configuration."""
-
 
 @dataclass(frozen=True)
 class ExactCovariance:
     """Closed-form ensemble covariance with constant diagonal and constant
     off-diagonal, stored as two scalars so that N = 25^3 stays O(N)."""
 
-    kind: MatterActionKind
     n_sites: int
     beta: float
     diag: float
     offdiag: float
-
-    def matrix(self) -> np.ndarray:
-        if self.n_sites > DENSE_MATRIX_LIMIT:
-            raise ValueError(
-                f"dense covariance limited to {DENSE_MATRIX_LIMIT} sites; use matvec"
-            )
-        out = np.full((self.n_sites, self.n_sites), self.offdiag)
-        np.fill_diagonal(out, self.diag)
-        return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -60,21 +46,18 @@ class ExactCovariance:
 
 
 def exact_covariance(kind: MatterActionKind, n_sites: int, beta: float) -> ExactCovariance:
+    """M^{-1} / beta for the coupling c of `kind`: diagonal
+    (1/beta)(1 - c/(1 + cN)) and off-diagonal -c/(beta (1 + cN))."""
     if n_sites < 1:
         raise ValueError("n_sites must be at least 1")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if kind is MatterActionKind.FREE:
-        return ExactCovariance(kind, n_sites, beta, 1.0 / beta, 0.0)
-    if kind is MatterActionKind.FREE_COLLECTIVE:
-        return ExactCovariance(
-            kind,
-            n_sites,
-            beta,
-            (1.0 / beta) * (1.0 - 1.0 / (n_sites + 1)),
-            -1.0 / (beta * (n_sites + 1)),
-        )
-    raise OracleUnavailableError(f"no closed-form covariance for {kind!r}")
+    c = kind.coupling
+    collective = 1.0 + c * n_sites
+    # 0.0 - x rather than -x keeps the uncoupled off-diagonal at +0.0
+    return ExactCovariance(
+        n_sites, beta, (1.0 / beta) * (1.0 - c / collective), 0.0 - c / (beta * collective)
+    )
 
 
 def _phase_angles(lattice: MomentumLattice, mass: float, points: np.ndarray) -> np.ndarray:

@@ -291,3 +291,16 @@ class TestErrors:
         assert main(["fock-check", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "exceeds limit" in err
+
+    def test_fock_products_over_limit_error(self, tmp_path, capsys):
+        # 198 independent observables on 216 sites: dim 19 900 at n_max = 2
+        # is within the dimension limit, the d^2 * dim products are not
+        text = BASE.replace("lattice.n_per_axis = 3", "lattice.n_per_axis = 6")
+        cfg = write_config(
+            tmp_path,
+            text + f"fock.n_observables = 198\nfock.n_max = 2\noutput.dir = {tmp_path}\n",
+        )
+        assert main(["fock-check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d^2 * dim" in err
+        assert err.count("\n") == 1

@@ -41,13 +41,6 @@ class TestSiteMomentum:
         for idx in range(lat.site_count):
             np.testing.assert_array_equal(stacked[idx], lat.site_momentum(idx))
 
-    @given(st.integers(min_value=1, max_value=6), st.floats(min_value=0.01, max_value=2.0))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_is_identity(self, n, spacing):
-        lat = MomentumLattice(n, spacing)
-        for idx in range(lat.site_count):
-            assert lat.nearest_site_index(lat.site_momentum(idx)) == idx
-
     def test_origin_site_parity(self):
         # Odd lattices contain the origin exactly once, even lattices never.
         for n in (2, 3, 4, 5):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,14 @@ from rsft.oracles import (
 
 FREE = MatterActionKind.FREE
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
+
+
+def dense_matrix(cov):
+    """The N x N matrix of a closed-form covariance, the dense reference for
+    its matvec and for the correlator double sum."""
+    out = np.full((cov.n_sites, cov.n_sites), cov.offdiag)
+    np.fill_diagonal(out, cov.diag)
+    return out
 
 
 def gauss_legendre_moments_2d(beta, half_width=8.0, nodes=400):
@@ -34,6 +44,8 @@ class TestExactCovariance:
         cov = exact_covariance(FREE, 10, 1.0)
         assert cov.diag == 1.0
         assert cov.offdiag == 0.0
+        # +0.0, not -0.0: the covariance block CSV prints the sign
+        assert math.copysign(1.0, cov.offdiag) == 1.0
 
     def test_free_beta_scaling(self):
         cov = exact_covariance(FREE, 10, 2.5)
@@ -41,7 +53,7 @@ class TestExactCovariance:
 
     def test_collective_two_sites_closed_form(self):
         cov = exact_covariance(COLLECTIVE, 2, 1.0)
-        np.testing.assert_allclose(cov.matrix(), [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]])
+        np.testing.assert_allclose(dense_matrix(cov), [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]])
 
     def test_collective_two_sites_against_quadrature(self):
         second, cross = gauss_legendre_moments_2d(beta=1.0)
@@ -49,18 +61,19 @@ class TestExactCovariance:
         assert second == pytest.approx(cov.diag, abs=1e-6)
         assert cross == pytest.approx(cov.offdiag, abs=1e-6)
 
+    @pytest.mark.parametrize("kind, coupling", [(FREE, 0.0), (COLLECTIVE, 1.0)])
     @pytest.mark.parametrize("n", [2, 5, 33, 1000])
-    def test_collective_inverts_precision_matrix(self, n):
-        # C must invert beta (I + ones ones^T); dense check at small n,
-        # matvec identity at large n.
+    def test_inverts_precision_matrix(self, kind, coupling, n):
+        # C must invert beta M = beta (I + c ones ones^T); dense check at
+        # small n, matvec identity at large n.
         beta = 1.3
-        cov = exact_covariance(COLLECTIVE, n, beta)
+        cov = exact_covariance(kind, n, beta)
         if n <= 64:
-            precision = beta * (np.eye(n) + np.ones((n, n)))
-            np.testing.assert_allclose(cov.matrix() @ precision, np.eye(n), atol=1e-12)
+            precision = beta * (np.eye(n) + coupling * np.ones((n, n)))
+            np.testing.assert_allclose(dense_matrix(cov) @ precision, np.eye(n), atol=1e-12)
         rng = np.random.default_rng(n)
         v = rng.normal(size=n)
-        image = beta * (cov.matvec(v) + np.sum(cov.matvec(v)))
+        image = beta * (cov.matvec(v) + coupling * np.sum(cov.matvec(v)))
         np.testing.assert_allclose(image, v, atol=1e-10)
 
     def test_row_sum_identity(self):
@@ -72,7 +85,7 @@ class TestExactCovariance:
     def test_matvec_matches_dense(self):
         cov = exact_covariance(COLLECTIVE, 17, 0.7)
         v = np.random.default_rng(3).normal(size=17)
-        np.testing.assert_allclose(cov.matvec(v), cov.matrix() @ v, atol=1e-13)
+        np.testing.assert_allclose(cov.matvec(v), dense_matrix(cov) @ v, atol=1e-13)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -121,7 +134,7 @@ class TestExpectedCorrelator:
         beta, mass = 1.7, 0.8
         cov = exact_covariance(kind, lattice.site_count, beta)
         fast = expected_correlator(kind, lattice, mass, beta, self.grid())
-        brute = brute_force_correlator(cov.matrix(), lattice, mass, self.grid())
+        brute = brute_force_correlator(dense_matrix(cov), lattice, mass, self.grid())
         np.testing.assert_allclose(fast, brute, atol=1e-10)
 
     def test_collective_is_free_scaled_down(self):
