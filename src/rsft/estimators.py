@@ -4,10 +4,10 @@ All estimators are streaming accumulators fed one field snapshot at a time,
 so figure-scale runs never hold the sample history in memory.  Each one maps
 a snapshot to an observable (squares, a product block, exponential source
 moments, phased field sums) and feeds it to BatchMeans, the single
-batch-means core: a running total, contiguous fixed-length batches with an
-optional projection of each batch mean, and a standard error that is
-reported only once at least eight complete batches exist.  Accumulators
-over consecutive disjoint sample ranges merge.
+batch-means core: contiguous fixed-length batches folded into a running
+total as they close, an optional projection of each batch mean, and a
+standard error that is reported only once at least eight complete batches
+exist.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ class BatchMeans:
     batch-means standard errors; every accumulator in the package is an
     observable map over this one core.
 
-    Each added value goes into a running total and into the current batch
-    of batch_len consecutive samples.  A completed batch mean is passed
-    through the optional projection before it is stored, so a (T, N)
-    observable can keep (T, S) batch grids; mean() applies the same
-    projection to the running mean.  Accumulators over consecutive disjoint
-    sample ranges merge when the left one ends on a batch boundary.
+    Each added value goes only into the current batch of batch_len
+    consecutive samples, so a sample is summed once; a completed batch is
+    folded into the running total.  Its mean is passed through the optional
+    projection before it is stored, so a (T, N) observable can keep (T, S)
+    batch grids; mean() applies the same projection to the running mean
+    over the closed batches and the open one.
     """
 
     def __init__(
@@ -69,32 +69,18 @@ class BatchMeans:
 
     def add(self, value) -> None:
         self.count += 1
-        self.total += value
         self._batch_total += value
         self._batch_count += 1
         if self._batch_count == self.batch_len:
             self.batch_means.append(self._projected(self._batch_total / self.batch_len))
+            self.total += self._batch_total
             self._batch_total[...] = 0
             self._batch_count = 0
-
-    def merge(self, other: "BatchMeans") -> None:
-        """Absorb an accumulator over a later, disjoint sample range."""
-        if other.batch_len != self.batch_len:
-            raise ValueError("cannot merge accumulators with different batch lengths")
-        if other.total.shape != self.total.shape:
-            raise ValueError("cannot merge accumulators of different observable shapes")
-        if self._batch_count != 0:
-            raise ValueError("left accumulator must end on a batch boundary to merge")
-        self.count += other.count
-        self.total += other.total
-        self.batch_means.extend(other.batch_means)
-        self._batch_total = other._batch_total.copy()
-        self._batch_count = other._batch_count
 
     def mean(self) -> np.ndarray:
         if self.count == 0:
             raise EstimatorError("no samples accumulated")
-        return self._projected(self.total / self.count)
+        return self._projected((self.total + self._batch_total) / self.count)
 
     def stderr(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Batch-means standard errors of the real and the imaginary part of
@@ -146,12 +132,6 @@ class CovarianceAccumulator:
         self._products.add(np.outer(sub, sub))
         self._values.add(sub)
 
-    def merge(self, other: "CovarianceAccumulator") -> None:
-        if other.sites != self.sites:
-            raise ValueError("cannot merge accumulators over different site subsets")
-        self._products.merge(other._products)
-        self._values.merge(other._values)
-
     def result(self) -> CovarianceResult:
         means = self._values.mean()
         matrix = self._products.mean() - np.outer(means, means)
@@ -171,10 +151,6 @@ class VarianceAccumulator:
     def add(self, phi: np.ndarray) -> None:
         self._squares.add(phi * phi)
         self._values.add(phi)
-
-    def merge(self, other: "VarianceAccumulator") -> None:
-        self._squares.merge(other._squares)
-        self._values.merge(other._values)
 
     def result(self) -> tuple[np.ndarray, np.ndarray | None, int]:
         """(variances, stderr of the square averages or None, sample count)."""
@@ -224,11 +200,6 @@ class MgfAccumulator:
             )
         self._moments.add(values)
 
-    def merge(self, other: "MgfAccumulator") -> None:
-        if (other.site_p, other.site_q, other.eps) != (self.site_p, self.site_q, self.eps):
-            raise ValueError("cannot merge probes with different sites or amplitudes")
-        self._moments.merge(other._moments)
-
     def _finite_difference(self, moments: np.ndarray) -> float:
         logs = np.log(moments)
         if self.site_p == self.site_q:
@@ -242,6 +213,26 @@ class MgfAccumulator:
         return estimate, None if se is None else float(se[0]), self._moments.count
 
 
+def _time_step(times: np.ndarray) -> float:
+    """Spacing of an arithmetic sequence of times, from its end points."""
+    return float(times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
+
+
+def _phase_rows(times: np.ndarray, freqs: np.ndarray, weights, out: np.ndarray) -> np.ndarray:
+    """out[k] = weights * exp(i times[k] freqs) for evenly spaced times.
+
+    Row 0 takes direct exponentials; every later row is the one before it
+    times the one-step phase exp(i dt freqs), so the (T, N) grid costs 2N
+    exponentials whatever T is, and the round-off grows by about one ulp
+    per row.
+    """
+    np.multiply(weights, np.exp(1j * times[0] * freqs), out=out[0])
+    step = np.exp(1j * _time_step(times) * freqs)
+    for k in range(1, times.size):
+        np.multiply(out[k - 1], step, out=out[k])
+    return out
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Spacetime evaluation grid: the outer product of a set of times and a
@@ -251,7 +242,13 @@ class GridSpec:
     spatial: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.atleast_1d(np.asarray(self.times, dtype=float)))
+        times = np.atleast_1d(np.asarray(self.times, dtype=float))
+        # the correlator builds its time phases by a recurrence in the
+        # spacing, so the times must be an arithmetic sequence
+        even = times[:1] + _time_step(times) * np.arange(times.size)
+        if times.size == 0 or np.abs(times - even).max() > 1e-12 * np.abs(times).max():
+            raise ValueError("grid times must be a nonempty, evenly spaced sequence")
+        object.__setattr__(self, "times", times)
         spatial = np.asarray(self.spatial, dtype=float).reshape(-1, 3)
         object.__setattr__(self, "spatial", spatial)
 
@@ -296,10 +293,12 @@ class CorrelatorAccumulator:
 
     Per snapshot the estimator accumulates A(l) * B(y, l) with
     A = sum_{p'} phi(p') and B(y) = sum_p phi(p) exp(i(omega_p y0 - p . yvec)),
-    the factorized form of the double sum over site pairs.  The frequency
-    omega_p is re-evaluated from the mass-shell kind at every snapshot, so
-    dynamically defined shells are supported; the spatial phases never change
-    and are applied once per batch.
+    the factorized form of the double sum over site pairs.  On a fixed shell
+    the time phases are constant, so only the (N,) vector A * phi is
+    accumulated and both phases are applied once per batch.  A dynamic shell
+    re-evaluates omega_p from the snapshot, so the (T, N) time-phased vector
+    is rebuilt per sample, by recurrence over the evenly spaced times; the
+    spatial phases never change and are applied once per batch.
     """
 
     def __init__(
@@ -314,40 +313,30 @@ class CorrelatorAccumulator:
         self.shell = shell
         momenta = lattice.site_momenta()
         self._momenta = momenta
+        n_sites = lattice.site_count
         # (N, S) spatial phases exp(-i p . x)
         spatial_phase = np.exp(-1j * momenta @ grid.spatial.T)
-        self._fixed_time_phase = None
-        if isinstance(shell, FixedShell):
-            freqs = omega(momenta, shell.mass)
-            self._fixed_time_phase = np.exp(1j * np.outer(grid.times, freqs))
         # completed batches are projected straight onto the (T, S) grid, so
         # memory stays O(T N + batches * T S) at figure scale
-        self._sums = BatchMeans(
-            (grid.times.shape[0], lattice.site_count),
-            batch_len,
-            complex,
-            project=lambda mean: mean @ spatial_phase,
-        )
+        rows = np.empty((grid.times.shape[0], n_sites), dtype=complex)
+        if isinstance(shell, FixedShell):
+            time_phase = _phase_rows(grid.times, omega(momenta, shell.mass), 1.0, rows)
+            self._sums = BatchMeans(
+                (n_sites,), batch_len, project=lambda mean: (time_phase * mean) @ spatial_phase
+            )
+        else:
+            self._rows = rows  # rebuilt in place for every sample
+            self._sums = BatchMeans(
+                rows.shape, batch_len, complex, project=lambda mean: mean @ spatial_phase
+            )
 
     def add(self, phi: np.ndarray) -> None:
-        field_sum = float(np.sum(phi))
-        weighted = field_sum * phi
-        if self._fixed_time_phase is not None:
-            contribution = self._fixed_time_phase * weighted[None, :]
+        weighted = float(np.sum(phi)) * phi
+        if isinstance(self.shell, FixedShell):
+            self._sums.add(weighted)
         else:
             freqs = omega(self._momenta, effective_masses(self.shell, phi))
-            contribution = np.exp(1j * np.outer(self.grid.times, freqs)) * weighted[None, :]
-        self._sums.add(contribution)
-
-    def merge(self, other: "CorrelatorAccumulator") -> None:
-        if not (
-            np.array_equal(other.grid.times, self.grid.times)
-            and np.array_equal(other.grid.spatial, self.grid.spatial)
-        ):
-            raise ValueError("cannot merge accumulators over different grids")
-        if (other.lattice, other.shell) != (self.lattice, self.shell):
-            raise ValueError("cannot merge accumulators over different lattices or mass shells")
-        self._sums.merge(other._sums)
+            self._sums.add(_phase_rows(self.grid.times, freqs, weighted, self._rows))
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
         values = self._sums.mean().reshape(-1)

@@ -116,14 +116,6 @@ class GramAccumulator:
         values = np.array([obs.evaluate(phi) for obs in self.observables], dtype=complex)
         self._acc.add(np.outer(np.conj(values), values))
 
-    def merge(self, other: "GramAccumulator") -> None:
-        if len(other.observables) != len(self.observables) or not all(
-            np.array_equal(mine.coeffs, theirs.coeffs)
-            for mine, theirs in zip(self.observables, other.observables)
-        ):
-            raise ValueError("cannot merge accumulators over different families")
-        self._acc.merge(other._acc)
-
     def result(self) -> GramMatrix:
         matrix = _hermitize(self._acc.mean())
         se = self._acc.stderr()
@@ -648,8 +640,11 @@ def algebra_report(
         basis_vec[mode] = 1.0
         ladder = annihilation_operator(basis_vec, rep)(identity)
         lowering_dev = max(lowering_dev, (ladder - direct).max_abs())
+    # Unit vectors keep the pairing O(1), so its round-off does not grow with dim.
     vec_f = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     vec_g = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    vec_f /= np.linalg.norm(vec_f)
+    vec_g /= np.linalg.norm(vec_g)
     raised_f = c_u(SparseOperand.vector(vec_f)).to_vector(rep.dim)
     lowered_g = a_u(SparseOperand.vector(vec_g)).to_vector(rep.dim)
     pairing_dev = abs(np.vdot(raised_f, vec_g) - np.vdot(vec_f, lowered_g))

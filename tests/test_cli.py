@@ -29,6 +29,14 @@ mgf.pairs = 0:0,0:1,2:2,3:5
 SMOKE_CFG = Path(__file__).parent.parent / "configs" / "smoke.cfg"
 
 
+def smoke_config():
+    """configs/smoke.cfg without its output directory."""
+    return "".join(
+        line for line in SMOKE_CFG.read_text().splitlines(keepends=True)
+        if not line.startswith("output.dir")
+    )
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -205,18 +213,26 @@ class TestFockCheck:
 
     def test_many_observables_at_n_max_one(self, tmp_path, capsys):
         # dimension 41, while the cube {0, 1}^40 has 2^40 tuples
-        smoke = "".join(
-            line for line in SMOKE_CFG.read_text().splitlines(keepends=True)
-            if not line.startswith("output.dir")
-        )
         cfg = write_config(
-            tmp_path, smoke + f"fock.n_observables = 40\nfock.n_max = 1\noutput.dir = {tmp_path}\n"
+            tmp_path,
+            smoke_config() + f"fock.n_observables = 40\nfock.n_max = 1\noutput.dir = {tmp_path}\n",
         )
         assert main(["fock-check", "--config", cfg]) == 0
         assert "PASS" in capsys.readouterr().out
         header = (tmp_path / "fock_report.csv").read_text()
         assert "# one_particle_dim = 40" in header
         assert "# fock_dim = 41" in header
+
+    def test_exact_algebra_passes_at_dimension_17550(self, tmp_path, capsys):
+        # the adjoint pairing of two random vectors in 17 550 dimensions must
+        # not carry round-off beyond the absolute identity tolerance
+        cfg = write_config(
+            tmp_path,
+            smoke_config() + f"fock.n_observables = 23\nfock.n_max = 4\noutput.dir = {tmp_path}\n",
+        )
+        assert main(["fock-check", "--config", cfg]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert "# fock_dim = 17550" in (tmp_path / "fock_report.csv").read_text()
 
     def test_config_overrides_observable_count(self, tmp_path):
         cfg = write_config(tmp_path, BASE + f"fock.n_observables = 2\noutput.dir = {tmp_path}\n")

@@ -17,7 +17,14 @@ from rsft.estimators import (
     VarianceAccumulator,
     default_batch_len,
 )
-from rsft.lattice import FixedShell, LocalDynamicShell, MomentumLattice
+from rsft.lattice import (
+    FixedShell,
+    GlobalDynamicShell,
+    LocalDynamicShell,
+    MomentumLattice,
+    effective_masses,
+    omega,
+)
 from rsft.oracles import exact_covariance, expected_correlator
 
 FREE = MatterActionKind.FREE
@@ -78,25 +85,16 @@ def streams(draw):
 
 
 class TestBatchMeans:
-    @given(streams(), st.data())
+    @given(streams())
     @settings(max_examples=60, deadline=None)
-    def test_split_then_merge_equals_one_pass(self, stream, data):
+    def test_mean_is_plain_average_after_every_sample(self, stream):
+        # every prefix of the stream, so most end inside an open batch
         values, batch_len = stream
-        split = batch_len * data.draw(st.integers(0, len(values) // batch_len))
-        shape, dtype = values.shape[1:], values.dtype
-        whole = feed(BatchMeans(shape, batch_len, dtype), values)
-        left = feed(BatchMeans(shape, batch_len, dtype), values[:split])
-        left.merge(feed(BatchMeans(shape, batch_len, dtype), values[split:]))
-        assert left.count == whole.count
-        np.testing.assert_array_equal(left.mean(), whole.mean())
-        assert len(left.batch_means) == len(whole.batch_means)
-        for got, want in zip(left.batch_means, whole.batch_means):
-            np.testing.assert_array_equal(got, want)
-        # the open batch carries over too: one more sample closes it alike
-        left.add(values[0])
-        whole.add(values[0])
-        np.testing.assert_array_equal(left.mean(), whole.mean())
-        assert len(left.batch_means) == len(whole.batch_means)
+        acc = BatchMeans(values.shape[1:], batch_len, values.dtype)
+        for n, value in enumerate(values, 1):
+            acc.add(value)
+            assert acc.count == n
+            np.testing.assert_array_equal(acc.mean(), values[:n].sum(axis=0) / n)
 
     @given(streams())
     @settings(max_examples=60, deadline=None)
@@ -145,12 +143,6 @@ class TestBatchMeans:
         assert acc.batch_means == [5.0]
         assert acc.mean() == 7.0
 
-    def test_merge_rejects_other_batch_len_or_shape(self):
-        with pytest.raises(ValueError, match="batch lengths"):
-            BatchMeans((3,), 2).merge(BatchMeans((3,), 3))
-        with pytest.raises(ValueError, match="shapes"):
-            BatchMeans((3,), 2).merge(BatchMeans((), 2))
-
     def test_rejects_empty_batches_and_empty_streams(self):
         with pytest.raises(ValueError):
             BatchMeans((), 0)
@@ -196,30 +188,6 @@ class TestRunningMoments:
         for value in rng.normal(size=25 * 256):
             large.add(value)
         assert small.stderr()[0] / large.stderr()[0] == pytest.approx(4.0, rel=0.35)
-
-    def test_merge_concatenates_batches_and_counts(self):
-        values = np.arange(120.0)
-        whole = BatchMeans((), batch_len=10)
-        for v in values:
-            whole.add(v)
-        left = BatchMeans((), batch_len=10)
-        right = BatchMeans((), batch_len=10)
-        for v in values[:60]:
-            left.add(v)
-        for v in values[60:]:
-            right.add(v)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean() == whole.mean()
-        np.testing.assert_array_equal(left.batch_means, whole.batch_means)
-
-    def test_merge_requires_batch_boundary(self):
-        left = BatchMeans((), batch_len=10)
-        right = BatchMeans((), batch_len=10)
-        left.add(1.0)
-        right.add(2.0)
-        with pytest.raises(ValueError):
-            left.merge(right)
 
     def test_complex_observable_stderr_pair(self):
         rng = np.random.default_rng(13)
@@ -284,21 +252,6 @@ class TestModeCovariance:
         np.testing.assert_array_equal(result.matrix, result.matrix.T)
         min_eig = np.linalg.eigvalsh(result.matrix).min()
         assert min_eig >= -5.0 * result.stderr.max()
-
-    def test_merge_equals_single_pass(self):
-        rng = np.random.default_rng(17)
-        samples = synthetic_free_samples(rng, 6, 1.0, 400)
-        whole = CovarianceAccumulator(range(4), batch_len=20)
-        for phi in samples:
-            whole.add(phi)
-        left = CovarianceAccumulator(range(4), batch_len=20)
-        right = CovarianceAccumulator(range(4), batch_len=20)
-        for phi in samples[:200]:
-            left.add(phi)
-        for phi in samples[200:]:
-            right.add(phi)
-        left.merge(right)
-        np.testing.assert_allclose(left.result().matrix, whole.result().matrix, atol=1e-14)
 
 
 class TestVarianceAccumulator:
@@ -371,6 +324,40 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.plane(1.0, 2, 1.0, 2, axis=0)
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 3.0], [-1.0, 0.0, 0.5, 1.0], []])
+    def test_rejects_uneven_or_missing_times(self, times):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            GridSpec(np.array(times), np.zeros((1, 3)))
+
+
+class DirectCorrelator:
+    """Reference correlator: the (T, N) phased vector from T * N direct
+    exponentials per sample, the spatial phases applied to each batch mean."""
+
+    def __init__(self, grid, lattice, shell, batch_len):
+        self.grid, self.shell = grid, shell
+        self.momenta = lattice.site_momenta()
+        spatial_phase = np.exp(-1j * self.momenta @ grid.spatial.T)
+        self.sums = BatchMeans(
+            (grid.times.size, lattice.site_count), batch_len, complex,
+            project=lambda mean: mean @ spatial_phase,
+        )
+
+    def add(self, phi):
+        freqs = omega(self.momenta, effective_masses(self.shell, phi))
+        self.sums.add(np.exp(1j * np.outer(self.grid.times, freqs)) * (np.sum(phi) * phi))
+
+    def result(self):
+        se_re, se_im = self.sums.stderr()
+        return self.sums.mean().reshape(-1), se_re.reshape(-1), se_im.reshape(-1)
+
+
+def assert_matches_direct(grid_spec, lattice, shell, samples, batch_len, rtol):
+    got = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len), samples).result()
+    values, se_re, se_im = feed(DirectCorrelator(grid_spec, lattice, shell, batch_len), samples).result()
+    for mine, direct in ((got.values, values), (got.stderr_re, se_re), (got.stderr_im, se_im)):
+        assert np.abs(mine - direct).max() <= rtol * np.abs(direct).max()
+
 
 class TestCorrelator:
     def grid(self):
@@ -427,8 +414,6 @@ class TestCorrelator:
         assert plus == pytest.approx(value_pos, abs=1e-12)
 
     def test_dynamic_shell_stream_is_finite_and_deterministic(self):
-        from rsft.lattice import GlobalDynamicShell
-
         lattice = MomentumLattice(3, 0.1)
         bath = BathParams(1.0, float(lattice.site_count), lattice.site_count)
         params = IntegratorParams(0.01, bath, COLLECTIVE)
@@ -444,35 +429,21 @@ class TestCorrelator:
         assert np.all(np.isfinite(first.values))
         np.testing.assert_array_equal(first.values, second.values)
 
-    def test_merge_equals_single_pass(self):
-        rng = np.random.default_rng(25)
-        lattice = MomentumLattice(3, 0.2)
-        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 400)
-        whole = CorrelatorAccumulator(self.grid(), lattice, FixedShell(1.0), batch_len=20)
-        for phi in samples:
-            whole.add(phi)
-        left = CorrelatorAccumulator(self.grid(), lattice, FixedShell(1.0), batch_len=20)
-        right = CorrelatorAccumulator(self.grid(), lattice, FixedShell(1.0), batch_len=20)
-        for phi in samples[:200]:
-            left.add(phi)
-        for phi in samples[200:]:
-            right.add(phi)
-        left.merge(right)
-        np.testing.assert_allclose(
-            left.result().values, whole.result().values, rtol=0, atol=1e-12
-        )
+    @pytest.mark.parametrize("shell", [FixedShell(1.0), GlobalDynamicShell(), LocalDynamicShell()])
+    def test_phase_recurrence_matches_direct_exponentials_at_figure_scale(self, shell):
+        rng = np.random.default_rng(28)
+        lattice = MomentumLattice(25, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+        grid_spec = GridSpec.plane(3.0, 21, 3.0, 5, axis=1)
+        assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
 
-    def test_merge_rejects_other_lattice_or_shell(self):
-        grid_spec = self.grid()
-        fixed = CorrelatorAccumulator(grid_spec, MomentumLattice(3, 0.1), FixedShell(1.0), 10)
-        local = CorrelatorAccumulator(grid_spec, MomentumLattice(3, 0.5), LocalDynamicShell(), 10)
-        with pytest.raises(ValueError):
-            fixed.merge(local)
-        same_lattice = CorrelatorAccumulator(
-            grid_spec, MomentumLattice(3, 0.1), LocalDynamicShell(), 10
-        )
-        with pytest.raises(ValueError):
-            fixed.merge(same_lattice)
+    @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
+    def test_phase_recurrence_holds_over_a_long_grid(self, shell):
+        rng = np.random.default_rng(29)
+        lattice = MomentumLattice(5, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+        grid_spec = GridSpec.plane(300.0, 2001, 3.0, 3, axis=2)
+        assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-10)
 
     def test_grid_row_order_matches_points(self):
         rng = np.random.default_rng(26)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rsft.action import MatterActionKind
+from rsft import operator_algebra
 from rsft.lattice import MomentumLattice
 from rsft.operator_algebra import (
     AlgebraError,
@@ -115,14 +116,6 @@ class TestGram:
                 assert abs(sampled.matrix[i, j].imag - exact.matrix[i, j].imag) <= (
                     5.0 * sampled.stderr_im[i, j]
                 )
-
-
-    def test_merge_rejects_other_family_of_same_size(self):
-        n = 8
-        single = GramAccumulator([unit_site_observable(n, 0)], batch_len=10)
-        scaled = GramAccumulator([unit_site_observable(n, 3, scale=5.0)], batch_len=10)
-        with pytest.raises(ValueError):
-            single.merge(scaled)
 
 
 class TestQuotient:
@@ -463,6 +456,18 @@ class TestFieldOperators:
         assert {"gram_hermitian", "ccr_mixed", "adjointness", "field_commutator"} <= names
         for result in results:
             assert result.passed, f"{result.name}: {result.deviation:.3e}"
+
+    def test_report_flags_a_wrong_adjoint(self, oracle_context, monkeypatch):
+        # c(2u) paired against a(u): the lowering-ladder half of the check
+        # never builds a creation operator, so only the pairing can fail
+        creation = operator_algebra.creation_operator
+        monkeypatch.setattr(
+            operator_algebra, "creation_operator", lambda v, rep: creation(2.0 * v, rep)
+        )
+        rep = FockRep.build(oracle_context.d, 4)
+        results = {r.name: r for r in algebra_report(oracle_context, rep, rng_seed=123)}
+        assert not results["adjointness"].passed
+        assert results["adjointness"].deviation > 1e6 * results["adjointness"].tolerance
 
 
 class TestMicrocausality:
