@@ -309,7 +309,6 @@ class CorrelatorAccumulator:
         batch_len: int,
     ):
         self.grid = grid
-        self.lattice = lattice
         self.shell = shell
         momenta = lattice.site_momenta()
         self._momenta = momenta
