@@ -313,8 +313,10 @@ class CorrelatorAccumulator:
         momenta = lattice.site_momenta()
         self._momenta = momenta
         n_sites = lattice.site_count
-        # (N, S) spatial phases exp(-i p . x)
-        spatial_phase = np.exp(-1j * momenta @ grid.spatial.T)
+        # (N, S) spatial phases exp(-i p . x); the angles come from a real
+        # matmul, since a complex one slows numpy's complex exp about tenfold
+        # until the next real BLAS call (measured with OpenBLAS 0.3.31)
+        spatial_phase = np.exp(-1j * (momenta @ grid.spatial.T))
         # completed batches are projected straight onto the (T, S) grid, so
         # memory stays O(T N + batches * T S) at figure scale
         rows = np.empty((grid.times.shape[0], n_sites), dtype=complex)
