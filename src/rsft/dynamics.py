@@ -16,16 +16,34 @@ explicit.  The scale factor is advanced by two symmetric rational (Cayley)
 half-steps bracketing the field drift, which makes the whole step exactly
 reversible under momentum flip.
 
+`_advance` is that step on the full site arrays.  It is the reference
+path: `run` does not call it, and the tests hold `run` to it.
+
+Both matter actions are phi^T M phi / 2 with M = I + c ones ones^T, so the
+force M phi stays in span{ones, phi}, and the flow never leaves the span of
+the uniform vector 1/sqrt(N) and the parts phi_perp, pi_perp of the starting
+field and momentum orthogonal to it.  `run` steps a trajectory in that
+subspace: with an orthonormal basis Q (N x k, k <= 3, first column
+1/sqrt(N)) it advances the coordinates x = Q^T phi and y = Q^T pi_phi, on
+which M = diag(1 + cN, 1, 1).  The step is the leapfrog of `_advance` in a
+few scalar operations for any N; it evaluates the matter action and its
+gradient once each, at its end, and they are the next step's start values.
+The state carries Q, x and y (`ExtendedState.subspace`), so a trajectory
+split into several runs, or resumed from a checkpoint, steps bitwise as the
+unbroken one does; a state whose carried basis does not reproduce its
+arrays bitwise gets a basis derived anew.
+
 `run` is the one loop over that step.  Everything that reads a trajectory
 (the conservation log, periodic checkpoints, every sampled estimator) is an
 observer it calls after each step, so a trajectory average is a streaming
-accumulator fed each thinned snapshot.
+accumulator fed each thinned snapshot.  Observers read phi and pi_phi,
+rebuilt as Q x and Q y only when first read after a step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +52,9 @@ from .action import BathParams, MatterActionKind, extended_action, matter_action
 from .lattice import MomentumLattice
 
 INIT_MOMENTUM_HALF_WIDTH = 2.5
+# A direction whose part outside the basis so far is at most this fraction
+# of its norm adds no basis vector: that part is round-off.
+SUBSPACE_RANK_TOLERANCE = 1e-12
 
 
 class StepFailureError(RuntimeError):
@@ -50,12 +71,73 @@ class StepFailureError(RuntimeError):
         return StepFailureError(self.stage, f"{self} (at step {step_index})", step_index)
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    view = np.asarray(array, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+def _lift(basis: np.ndarray, coords) -> np.ndarray:
+    """Q coords as a new site array, summed row by row so that the same
+    basis and coordinates give the same bits on any BLAS."""
+    out = coords[0] * basis[0]
+    for j in range(1, basis.shape[0]):
+        out += coords[j] * basis[j]
+    return out
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A state in the invariant subspace of its trajectory.
+
+    `basis` is Q^T: k <= 3 orthonormal rows of length N, the first one
+    1/sqrt(N).  x and y are the field and momentum coordinates, so the
+    state's phi is Q x and its pi_phi is Q y.  All three are read-only.
+    """
+
+    basis: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        for name in ("basis", "x", "y"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def reproduces(self, phi: np.ndarray, pi_phi: np.ndarray) -> bool:
+        """Whether Q x and Q y are bitwise phi and pi_phi."""
+        return (
+            self.basis.shape[1:] == phi.shape == pi_phi.shape
+            and np.array_equal(_lift(self.basis, self.x), phi)
+            and np.array_equal(_lift(self.basis, self.y), pi_phi)
+        )
+
+
+def _derive_subspace(phi: np.ndarray, pi_phi: np.ndarray) -> Subspace:
+    """Orthonormal basis of span{1/sqrt(N), phi_perp, pi_perp} by classical
+    Gram-Schmidt, each direction orthogonalised twice, and the coordinates
+    of phi and pi_phi in it."""
+    n = phi.shape[0]
+    rows = [np.full(n, 1.0 / math.sqrt(n))]
+    for v in (phi, pi_phi):
+        w = np.array(v, dtype=float)
+        for _ in range(2):
+            for q in rows:
+                w -= float(q @ w) * q
+        norm = math.sqrt(float(w @ w))
+        if norm > SUBSPACE_RANK_TOLERANCE * math.sqrt(float(v @ v)):
+            rows.append(w / norm)
+    basis = np.array(rows)
+    return Subspace(basis, basis @ phi, basis @ pi_phi)
+
+
 @dataclass
 class ExtendedState:
     """Point of the variational phase space plus bookkeeping.
 
     s0 is the extended action recorded once at initialization; step_count
-    times the step size gives the flow parameter lambda.
+    times the step size gives the flow parameter lambda.  `subspace`, when
+    set, holds the basis and coordinates the state was stepped in (see
+    `run`); `copy` keeps it.
     """
 
     phi: np.ndarray
@@ -64,13 +146,20 @@ class ExtendedState:
     pi_s: float
     s0: float
     step_count: int = 0
+    subspace: Subspace | None = None
 
     def lam(self, dlambda: float) -> float:
         return self.step_count * dlambda
 
     def copy(self) -> "ExtendedState":
         return ExtendedState(
-            self.phi.copy(), self.pi_phi.copy(), self.s, self.pi_s, self.s0, self.step_count
+            self.phi.copy(),
+            self.pi_phi.copy(),
+            self.s,
+            self.pi_s,
+            self.s0,
+            self.step_count,
+            self.subspace,
         )
 
     def extended_action(self, kind: MatterActionKind, bath: BathParams) -> float:
@@ -78,6 +167,48 @@ class ExtendedState:
 
     def total_action(self, kind: MatterActionKind, bath: BathParams) -> float:
         return self.s * (self.extended_action(kind, bath) - self.s0)
+
+
+class _LiveState(ExtendedState):
+    """The state `run` hands its observers.
+
+    s, pi_s and step_count are current after every step.  phi, pi_phi and
+    subspace are built from the basis and the coordinates x, y (padded to
+    three, the padding zero) when first read after a step; the arrays are
+    read-only.
+    """
+
+    def __init__(self, state: ExtendedState, subspace: Subspace):
+        self.s, self.pi_s, self.s0 = state.s, state.pi_s, state.s0
+        self.step_count = state.step_count
+        self.basis = subspace.basis
+        padding = (0.0,) * (3 - self.basis.shape[0])
+        self.x = tuple(float(v) for v in subspace.x) + padding
+        self.y = tuple(float(v) for v in subspace.y) + padding
+        self.forget()
+
+    def forget(self) -> None:
+        """Drop what was built from the coordinates of an earlier step."""
+        self._phi = self._pi_phi = self._subspace = None
+
+    @property
+    def phi(self) -> np.ndarray:
+        if self._phi is None:
+            self._phi = _readonly(_lift(self.basis, self.x))
+        return self._phi
+
+    @property
+    def pi_phi(self) -> np.ndarray:
+        if self._pi_phi is None:
+            self._pi_phi = _readonly(_lift(self.basis, self.y))
+        return self._pi_phi
+
+    @property
+    def subspace(self) -> Subspace:
+        if self._subspace is None:
+            k = self.basis.shape[0]
+            self._subspace = Subspace(self.basis, np.array(self.x[:k]), np.array(self.y[:k]))
+        return self._subspace
 
 
 @dataclass(frozen=True)
@@ -198,7 +329,71 @@ def flip_momenta(state: ExtendedState) -> ExtendedState:
     out = state.copy()
     out.pi_phi = -out.pi_phi
     out.pi_s = -out.pi_s
+    if out.subspace is not None:
+        out.subspace = replace(out.subspace, y=-out.subspace.y)
     return out
+
+
+def _reduced_leapfrog(x, y, s, pi_s, s0, collective, dlambda, bath):
+    """The step of `_advance` on subspace coordinates, one step per `next`,
+    yielding the new (x, y, s, pi_s).
+
+    x and y are three coordinates (the unused ones zero, and they stay so);
+    the first lies along 1/sqrt(N), where M has the eigenvalue
+    `collective` = 1 + cN, and M is the identity on the others.  The matter
+    action and its gradient come from the end of the previous step, and
+    log s with them.  Failures raise the stages of `_advance`.
+    """
+    h = 0.5 * dlambda
+    m_s = bath.m_s
+    n_f_beta = bath.n_f / bath.beta
+    a = h / (2.0 * m_s)
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    g0 = collective * x0
+    s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
+    log_s = math.log(s)
+    while True:
+        kick = h * s
+        y0 -= kick * g0
+        y1 -= kick * x1
+        y2 -= kick * x2
+
+        kinetic = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
+        drive = 0.5 * kinetic - n_f_beta - s_m - n_f_beta * log_s + s0
+        b = pi_s + h * drive
+        disc = 1.0 + 4.0 * a * b
+        if disc < 0.0:
+            raise StepFailureError(
+                "bath-kick", f"negative discriminant {disc:.3e} in bath-momentum solve"
+            )
+        pi_s_half = 2.0 * b / (1.0 + math.sqrt(disc))
+
+        c = dlambda * pi_s_half / (4.0 * m_s)
+        if not -1.0 < c < 1.0:
+            raise StepFailureError("scale-drift", f"scale-factor update out of range (c={c:.3e})")
+        ratio = (1.0 + c) / (1.0 - c)
+        s_before = s
+        s = (s * ratio) * ratio
+        if not s > 0.0:
+            raise StepFailureError("scale-drift", f"scale factor became nonpositive ({s:.3e})")
+        drift = h * (1.0 / s_before + 1.0 / s)
+        x0 += drift * y0
+        x1 += drift * y1
+        x2 += drift * y2
+
+        g0 = collective * x0
+        s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
+        log_s = math.log(s)
+        kinetic2 = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
+        s_x = 0.5 * kinetic2 + pi_s_half * pi_s_half / (2.0 * m_s) + s_m + n_f_beta * log_s
+        pi_s = pi_s_half + h * (kinetic2 - n_f_beta - (s_x - s0))
+
+        kick = h * s
+        y0 -= kick * g0
+        y1 -= kick * x1
+        y2 -= kick * x2
+        yield (x0, x1, x2), (y0, y1, y2), s, pi_s
 
 
 def run(
@@ -210,28 +405,39 @@ def run(
     """Apply n_steps leapfrog steps, invoking every observer after each step;
     the input state is left untouched and the final state is returned.
 
-    Observers receive a live view of the evolving state whose arrays are
-    read-only; they must not hold mutable references across calls.  Step
-    failures propagate with the offending step index attached.
+    The steps run in the state's subspace (see the module docstring): its
+    carried basis if that reproduces phi and pi_phi bitwise, else one
+    derived from them.  Observers receive a live view of the evolving state
+    whose arrays are read-only; they must not hold mutable references across
+    calls.  Step failures propagate with the offending step index attached.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    phi = state.phi.copy()
-    pi_phi = state.pi_phi.copy()
-    phi_view = phi.view()
-    phi_view.flags.writeable = False
-    pi_view = pi_phi.view()
-    pi_view.flags.writeable = False
-    live = ExtendedState(phi_view, pi_view, state.s, state.pi_s, state.s0, state.step_count)
+    if n_steps == 0:
+        return state.copy()
+    subspace = state.subspace
+    if subspace is None or not subspace.reproduces(state.phi, state.pi_phi):
+        subspace = _derive_subspace(state.phi, state.pi_phi)
+    live = _LiveState(state, subspace)
+    collective = 1.0 + params.action_kind.coupling * state.phi.shape[0]
+    steps = _reduced_leapfrog(
+        live.x, live.y, live.s, live.pi_s, live.s0, collective, params.dlambda, params.bath
+    )
     for _ in range(n_steps):
         try:
-            live.s, live.pi_s = _advance(
-                phi, pi_phi, live.s, live.pi_s, live.s0, params.dlambda,
-                params.action_kind, params.bath,
-            )
+            live.x, live.y, live.s, live.pi_s = next(steps)
         except StepFailureError as err:
             raise err.with_step_index(live.step_count + 1) from None
         live.step_count += 1
+        live.forget()
         for observer in observers:
             observer(live)
-    return ExtendedState(phi, pi_phi, live.s, live.pi_s, live.s0, live.step_count)
+    return ExtendedState(
+        _lift(live.basis, live.x),
+        _lift(live.basis, live.y),
+        live.s,
+        live.pi_s,
+        live.s0,
+        live.step_count,
+        live.subspace,
+    )

@@ -311,7 +311,9 @@ class CorrelatorAccumulator:
         self.grid = grid
         self.shell = shell
         momenta = lattice.site_momenta()
-        self._momenta = momenta
+        # |p|^2 as `omega` sums it, so a dynamic shell's per-sample
+        # frequencies are omega's bits without re-summing the momenta
+        self._p_squared = np.sum(momenta * momenta, axis=-1)
         n_sites = lattice.site_count
         # (N, S) spatial phases exp(-i p . x); the angles come from a real
         # matmul, since a complex one slows numpy's complex exp about tenfold
@@ -336,7 +338,8 @@ class CorrelatorAccumulator:
         if isinstance(self.shell, FixedShell):
             self._sums.add(weighted)
         else:
-            freqs = omega(self._momenta, effective_masses(self.shell, phi))
+            masses = effective_masses(self.shell, phi)
+            freqs = np.sqrt(self._p_squared + masses * masses)
             self._sums.add(_phase_rows(self.grid.times, freqs, weighted, self._rows))
 
     def result(self, source: str = "mc") -> CorrelatorGrid:

@@ -22,6 +22,10 @@ import numpy as np
 from .action import MatterActionKind
 from .lattice import MomentumLattice, omega
 
+# Grid points times sites in one block of the oracle's phase angles: 2 MB
+# of angles, 4 MB of complex phases.
+PHASE_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ExactCovariance:
@@ -60,14 +64,23 @@ def exact_covariance(kind: MatterActionKind, n_sites: int, beta: float) -> Exact
     )
 
 
-def _phase_angles(lattice: MomentumLattice, mass: float, points: np.ndarray) -> np.ndarray:
-    """Angles omega(p) y0 - p . yvec for each grid point and site: (G, N)."""
+def _phase_sums(lattice: MomentumLattice, mass: float, points: np.ndarray, phase) -> np.ndarray:
+    """sum_p phase(omega(p) y0 - p . yvec) for each grid point (y0, yvec).
+
+    The (G, N) angles are built a block of grid points at a time, so the
+    memory is O(PHASE_BLOCK_ELEMENTS) whatever the grid and the lattice.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 4:
         raise ValueError("grid points must be rows (y0, y1, y2, y3)")
     momenta = lattice.site_momenta()
     freqs = omega(momenta, mass)
-    return np.outer(points[:, 0], freqs) - points[:, 1:] @ momenta.T
+    rows = max(1, PHASE_BLOCK_ELEMENTS // freqs.size)
+    sums = [
+        phase(np.outer(block[:, 0], freqs) - block[:, 1:] @ momenta.T).sum(axis=1)
+        for block in (points[start : start + rows] for start in range(0, points.shape[0], rows))
+    ]
+    return np.concatenate(sums) if sums else np.zeros(0)
 
 
 def expected_correlator(
@@ -84,8 +97,7 @@ def expected_correlator(
     single phase sum over sites.
     """
     cov = exact_covariance(kind, lattice.site_count, beta)
-    phase_sum = np.exp(1j * _phase_angles(lattice, mass, points)).sum(axis=1)
-    return cov.row_sum() * phase_sum
+    return cov.row_sum() * _phase_sums(lattice, mass, points, lambda angles: np.exp(1j * angles))
 
 
 def pauli_jordan_discrete(
@@ -97,8 +109,7 @@ def pauli_jordan_discrete(
     the centered lattice it vanishes identically at y0 = 0 by the p <-> -p
     pairing and is odd under y0 -> -y0 at yvec = 0.
     """
-    angles = _phase_angles(lattice, mass, points)
-    return np.sin(angles).sum(axis=1) / beta
+    return _phase_sums(lattice, mass, points, np.sin) / beta
 
 
 def smeared_commutator(

@@ -1,19 +1,25 @@
 """Checkpoint files, CSV emission, and the conservation log.
 
-Checkpoint format, version 2: the ASCII header line `RSFT-CKPT v2`, then a
-fixed-order little-endian binary payload (site count, the two field arrays,
-the bath scalar and momentum, the reference action, the step count, the
-generator algorithm identifier and its serialized state, then the physics
-record), and a CRC-32 of the payload.  The physics record is a
-length-prefixed UTF-8 JSON object of the config values the trajectory
-depends on beyond the site count (`action.kind`, `dynamics.dlambda`), so a
-resume under different physics, or from a record that lacks one of them,
-is refused.  Version 1 (header
-`RSFT-CKPT v1`) is the same payload without the physics record; it stays
-readable and carries no physics to check.  Round trips are bit-exact, so a
-resumed trajectory reproduces the unbroken one exactly.  A checkpoint is
-written to a temporary file in the same directory and renamed onto its
-path, so a crash mid-write leaves the previous checkpoint intact.
+Checkpoint format, version 3: the ASCII header line `RSFT-CKPT v3`, then a
+fixed-order little-endian binary payload, and a CRC-32 of the payload.  The
+payload holds
+- the site count N, the two field arrays, the bath scalar and momentum,
+  the reference action and the step count;
+- the generator algorithm identifier and its serialized state;
+- the physics record: a length-prefixed UTF-8 JSON object of the config
+  values the trajectory depends on beyond the site count (`action.kind`,
+  `dynamics.dlambda`), so a resume under different physics, or from a
+  record that lacks one of them, is refused;
+- the subspace the state was stepped in (see `dynamics`): its dimension k,
+  then the k rows of its basis (N values each) and the k field and k
+  momentum coordinates; k = 0 records none.
+Round trips are bit-exact, the subspace included, so a resumed trajectory
+steps exactly as the unbroken one.  Versions 2 (header `RSFT-CKPT v2`, no
+subspace) and 1 (header `RSFT-CKPT v1`, neither physics record nor
+subspace) stay readable: the resumed run derives its subspace anew, and a
+version 1 file carries no physics to check.  A checkpoint is written to a
+temporary file in the same directory and renamed onto its path, so a crash
+mid-write leaves the previous checkpoint intact.
 
 Every CSV starts with `# key = value` comment lines carrying the fully
 resolved configuration and seed; floating-point values use 17 significant
@@ -30,11 +36,13 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .dynamics import ExtendedState
+from .dynamics import ExtendedState, Subspace
 from .estimators import CorrelatorGrid
 
-CHECKPOINT_MAGIC = b"RSFT-CKPT v2\n"
+CHECKPOINT_MAGIC = b"RSFT-CKPT v3\n"
+_CHECKPOINT_MAGIC_V2 = b"RSFT-CKPT v2\n"
 _CHECKPOINT_MAGIC_V1 = b"RSFT-CKPT v1\n"
+_MAX_SUBSPACE_DIM = 3
 _SUPPORTED_GENERATORS = {"PCG64": np.random.PCG64}
 
 
@@ -56,14 +64,16 @@ def write_checkpoint(
     rng: np.random.Generator,
     physics: Mapping[str, str | float],
 ) -> None:
-    """Write the state and generator, with the physics record (config key
-    to value) that a resume must match."""
+    """Write the state, its subspace and the generator, with the physics
+    record (config key to value) that a resume must match."""
     algorithm = type(rng.bit_generator).__name__
     if algorithm not in _SUPPORTED_GENERATORS:
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
     rng_state = _json_bytes(rng.bit_generator.state)
     physics_record = _json_bytes(dict(physics))
     n = state.phi.shape[0]
+    subspace = state.subspace
+    k = 0 if subspace is None else subspace.basis.shape[0]
     parts = [
         struct.pack("<Q", n),
         np.ascontiguousarray(state.phi, dtype="<f8").tobytes(),
@@ -76,7 +86,13 @@ def write_checkpoint(
         rng_state,
         struct.pack("<I", len(physics_record)),
         physics_record,
+        struct.pack("<I", k),
     ]
+    if subspace is not None:
+        parts += [
+            np.ascontiguousarray(array, dtype="<f8").tobytes()
+            for array in (subspace.basis, subspace.x, subspace.y)
+        ]
     payload = b"".join(parts)
     checksum = struct.pack("<I", zlib.crc32(payload))
     partial = f"{os.fspath(path)}.partial"
@@ -108,12 +124,13 @@ class _Reader:
 def read_checkpoint(
     path, expect: Mapping[str, str | float]
 ) -> tuple[ExtendedState, np.random.Generator]:
-    """Read a version 1 or 2 checkpoint.  A version 2 physics record must
-    hold every `expect` key with the same value; a version 1 file has no
-    record and is not checked."""
+    """Read a version 1, 2 or 3 checkpoint.  The physics record of a
+    version 2 or 3 file must hold every `expect` key with the same value; a
+    version 1 file has no record and is not checked."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    magic = next((m for m in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1) if blob.startswith(m)), None)
+    versions = (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V2, _CHECKPOINT_MAGIC_V1)
+    magic = next((m for m in versions if blob.startswith(m)), None)
     if magic is None:
         raise CheckpointError("not a checkpoint file or unsupported version")
     body = blob[len(magic) :]
@@ -132,10 +149,19 @@ def read_checkpoint(
     algorithm = reader.take(alg_len).decode()
     (state_len,) = reader.unpack("<I")
     rng_state = json.loads(reader.take(state_len).decode())
-    physics = None
-    if magic == CHECKPOINT_MAGIC:
+    physics = subspace = None
+    if magic != _CHECKPOINT_MAGIC_V1:
         (physics_len,) = reader.unpack("<I")
         physics = json.loads(reader.take(physics_len).decode())
+    if magic == CHECKPOINT_MAGIC:
+        (k,) = reader.unpack("<I")
+        if k > _MAX_SUBSPACE_DIM:
+            raise CheckpointError(f"subspace dimension {k} exceeds {_MAX_SUBSPACE_DIM}")
+        if k > 0:
+            basis = np.frombuffer(reader.take(8 * k * n), dtype="<f8").reshape(k, n)
+            x = np.frombuffer(reader.take(8 * k), dtype="<f8")
+            y = np.frombuffer(reader.take(8 * k), dtype="<f8")
+            subspace = Subspace(basis.astype(float), x.astype(float), y.astype(float))
     if reader.offset != len(payload):
         raise CheckpointError("trailing bytes in checkpoint payload")
     for key, value in expect.items() if physics is not None else ():
@@ -150,7 +176,7 @@ def read_checkpoint(
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
     bit_generator = _SUPPORTED_GENERATORS[algorithm]()
     bit_generator.state = rng_state
-    state = ExtendedState(phi, pi_phi, s, pi_s, s0, step_count)
+    state = ExtendedState(phi, pi_phi, s, pi_s, s0, step_count, subspace)
     return state, np.random.Generator(bit_generator)
 
 

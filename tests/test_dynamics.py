@@ -6,6 +6,7 @@ from rsft.dynamics import (
     ExtendedState,
     IntegratorParams,
     StepFailureError,
+    _advance,
     flip_momenta,
     init_state,
     run,
@@ -22,6 +23,32 @@ def default_setup(n_per_axis=7, kind=COLLECTIVE, dlambda=0.01, seed=1, beta=1.0)
     params = IntegratorParams(dlambda, bath, kind)
     state, rng = init_state(lattice, bath, kind, seed)
     return lattice, bath, params, state, rng
+
+
+def reference_run(params, state, n_steps):
+    """n_steps of the reference step `_advance` on the full site arrays."""
+    out = state.copy()
+    for _ in range(n_steps):
+        out.s, out.pi_s = _advance(
+            out.phi, out.pi_phi, out.s, out.pi_s, out.s0, params.dlambda,
+            params.action_kind, params.bath,
+        )
+        out.step_count += 1
+    return out
+
+
+def relative_errors(state, reference):
+    """Largest deviation of phi, pi_phi, s and pi_s, each relative to the
+    reference's largest magnitude."""
+    return [
+        float(np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(np.asarray(b)).max())
+        for a, b in (
+            (state.phi, reference.phi),
+            (state.pi_phi, reference.pi_phi),
+            (state.s, reference.s),
+            (state.pi_s, reference.pi_s),
+        )
+    ]
 
 
 class TestInitState:
@@ -226,3 +253,79 @@ class TestRun:
         np.testing.assert_array_equal(snapshots[-1], direct.phi)
         partial = run(state, params, 10)
         np.testing.assert_array_equal(snapshots[0], partial.phi)
+
+
+class TestSubspacePath:
+    """`run` steps in the invariant subspace; `_advance` is the reference."""
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_desk_scale_long_run_matches_reference(self, kind):
+        _, _, params, state, _ = default_setup(n_per_axis=9, kind=kind)
+        errors = relative_errors(run(state, params, 100_000), reference_run(params, state, 100_000))
+        assert max(errors) <= 1e-9, errors
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_figure_scale_run_matches_reference(self, kind):
+        _, _, params, state, _ = default_setup(n_per_axis=25, kind=kind)
+        errors = relative_errors(run(state, params, 5_000), reference_run(params, state, 5_000))
+        assert max(errors) <= 1e-9, errors
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_single_site_matches_reference(self, kind):
+        _, _, params, state, _ = default_setup(n_per_axis=1, kind=kind)
+        out = run(state, params, 20_000)
+        assert out.subspace.basis.shape == (1, 1)
+        assert max(relative_errors(out, reference_run(params, state, 20_000))) <= 1e-9
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_nonzero_start_field_spans_three_dimensions(self, kind):
+        _, bath, params, state, rng = default_setup(n_per_axis=5, kind=kind)
+        state.phi[...] = rng.normal(size=state.phi.shape)
+        state.s0 = state.extended_action(kind, bath)
+        out = run(state, params, 20_000)
+        assert out.subspace.basis.shape == (3, state.phi.shape[0])
+        np.testing.assert_allclose(
+            out.subspace.basis @ out.subspace.basis.T, np.eye(3), rtol=0, atol=1e-14
+        )
+        assert max(relative_errors(out, reference_run(params, state, 20_000))) <= 1e-9
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_step_failure_matches_reference(self, kind):
+        _, bath, _, state, _ = default_setup(n_per_axis=3, kind=kind)
+        bad = IntegratorParams(50.0, bath, kind)
+        with pytest.raises(StepFailureError) as reduced:
+            run(state, bad, 10)
+        failed_at = None
+        with pytest.raises(StepFailureError) as full:
+            out = state.copy()
+            for failed_at in range(1, 11):
+                out.s, out.pi_s = _advance(
+                    out.phi, out.pi_phi, out.s, out.pi_s, out.s0, 50.0, kind, bath
+                )
+        assert reduced.value.stage == full.value.stage
+        assert reduced.value.step_index == failed_at
+
+    def test_stale_basis_is_derived_again(self):
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        out = run(state, params, 100)
+        assert out.subspace.reproduces(out.phi, out.pi_phi)
+        out.phi[0] += 0.25  # the carried basis no longer holds phi
+        assert not out.subspace.reproduces(out.phi, out.pi_phi)
+        fresh = ExtendedState(out.phi.copy(), out.pi_phi.copy(), out.s, out.pi_s, out.s0, 100)
+        stepped = run(out, params, 1_000)
+        np.testing.assert_array_equal(stepped.phi, run(fresh, params, 1_000).phi)
+        assert stepped.subspace.basis.shape[0] == 3
+        assert max(relative_errors(stepped, reference_run(params, out, 1_000))) <= 1e-9
+
+    def test_copy_and_flip_keep_a_reproducing_basis(self):
+        _, _, params, state, _ = default_setup(n_per_axis=3)
+        out = run(state, params, 50)
+        for other in (out.copy(), flip_momenta(out)):
+            assert other.subspace.reproduces(other.phi, other.pi_phi)
+
+    def test_observers_share_one_rebuild_per_step(self):
+        _, _, params, state, _ = default_setup(n_per_axis=3)
+        seen = []
+        run(state, params, 3, [lambda live: seen.append(live.phi)] * 2)
+        assert seen[0] is seen[1] and seen[2] is seen[3]
+        assert seen[1] is not seen[2]

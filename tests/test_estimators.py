@@ -15,6 +15,7 @@ from rsft.estimators import (
     GridSpec,
     MgfAccumulator,
     VarianceAccumulator,
+    _phase_rows,
     default_batch_len,
 )
 from rsft.lattice import (
@@ -444,6 +445,24 @@ class TestCorrelator:
         samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
         grid_spec = GridSpec.plane(300.0, 2001, 3.0, 3, axis=2)
         assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-10)
+
+    @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
+    def test_dynamic_shell_frequencies_are_omega_bitwise(self, shell):
+        # the accumulator sums |p|^2 once; every sample's frequencies must
+        # still be omega's, bit for bit
+        rng = np.random.default_rng(30)
+        lattice = MomentumLattice(5, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 20)
+        grid_spec = GridSpec.plane(3.0, 7, 3.0, 3, axis=1)
+        got = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=5), samples)
+        momenta = lattice.site_momenta()
+        spatial_phase = np.exp(-1j * (momenta @ grid_spec.spatial.T))
+        rows = np.empty((grid_spec.times.size, lattice.site_count), dtype=complex)
+        reference = BatchMeans(rows.shape, 5, complex, project=lambda mean: mean @ spatial_phase)
+        for phi in samples:
+            freqs = omega(momenta, effective_masses(shell, phi))
+            reference.add(_phase_rows(grid_spec.times, freqs, float(np.sum(phi)) * phi, rows))
+        np.testing.assert_array_equal(got.result().values, reference.mean().reshape(-1))
 
     def test_grid_row_order_matches_points(self):
         rng = np.random.default_rng(26)

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rsft.action import MatterActionKind
+from rsft.estimators import GridSpec
 from rsft.lattice import MomentumLattice, omega
 from rsft.oracles import (
+    PHASE_BLOCK_ELEMENTS,
     exact_covariance,
     expected_correlator,
     pauli_jordan_discrete,
@@ -105,6 +108,13 @@ def brute_force_correlator(cov_matrix, lattice, mass, points):
     return out
 
 
+def direct_phase_angles(lattice, mass, points):
+    """The whole (G, N) array of angles omega_p y0 - p . yvec at once: the
+    reference for the oracles' blocked sums."""
+    momenta = lattice.site_momenta()
+    return np.outer(points[:, 0], omega(momenta, mass)) - points[:, 1:] @ momenta.T
+
+
 class TestExpectedCorrelator:
     def grid(self):
         return np.array(
@@ -136,6 +146,34 @@ class TestExpectedCorrelator:
         fast = expected_correlator(kind, lattice, mass, beta, self.grid())
         brute = brute_force_correlator(dense_matrix(cov), lattice, mass, self.grid())
         np.testing.assert_allclose(fast, brute, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_blocked_sums_match_the_direct_sum(self, kind):
+        lattice = MomentumLattice(11, 0.1)
+        points = GridSpec.plane(3.0, 21, 3.0, 21).points()
+        assert points.shape[0] * lattice.site_count > 2 * PHASE_BLOCK_ELEMENTS
+        angles = direct_phase_angles(lattice, 1.0, points)
+        direct = exact_covariance(kind, lattice.site_count, 1.0).row_sum() * np.exp(
+            1j * angles
+        ).sum(axis=1)
+        got = expected_correlator(kind, lattice, 1.0, 1.0, points)
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+        pj = pauli_jordan_discrete(lattice, 1.0, 1.0, points)
+        direct_pj = np.sin(angles).sum(axis=1)
+        assert np.abs(pj - direct_pj).max() <= 1e-12 * np.abs(direct_pj).max()
+
+    def test_memory_stays_bounded_at_figure_scale(self):
+        # a 21 x 21 grid at 25^3 sites: the whole complex (G, N) phase array
+        # would take 110 MB
+        lattice = MomentumLattice(25, 0.1)
+        points = GridSpec.plane(3.0, 21, 3.0, 21).points()
+        tracemalloc.start()
+        try:
+            expected_correlator(COLLECTIVE, lattice, 1.0, 1.0, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * PHASE_BLOCK_ELEMENTS * 8
 
     def test_collective_is_free_scaled_down(self):
         lattice = MomentumLattice(3, 0.2)

@@ -18,11 +18,14 @@ from rsft.storage import (
     read_checkpoint,
     write_checkpoint,
 )
+from tests.test_dynamics import reference_run
 
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
 PHYSICS = {"action.kind": "free_collective", "dynamics.dlambda": 0.01}
-# Written by the version 1 writer from `setup_run()` advanced 137 steps.
+# Written by the version 1 and version 2 writers from `setup_run()` advanced
+# 137 steps by the full-array leapfrog, which `reference_run` repeats.
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.ckpt"
+CHECKPOINT_V2 = Path(__file__).parent / "data" / "checkpoint_v2.ckpt"
 
 
 def setup_run(n_per_axis=3, seed=5):
@@ -100,7 +103,7 @@ class TestCheckpoint:
 
     def test_version_1_file_stays_readable(self):
         params, state, rng = setup_run()
-        state = run(state, params, 137)
+        state = reference_run(params, state, 137)
         assert CHECKPOINT_V1.read_bytes().startswith(b"RSFT-CKPT v1\n")
         # a version 1 file records no physics, so there is nothing to refuse
         loaded, loaded_rng = read_checkpoint(CHECKPOINT_V1, expect=PHYSICS)
@@ -109,6 +112,40 @@ class TestCheckpoint:
         assert (loaded.s, loaded.pi_s, loaded.s0) == (state.s, state.pi_s, state.s0)
         assert loaded.step_count == 137
         assert loaded_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_round_trip_keeps_the_subspace_bitwise(self, tmp_path):
+        params, state, rng = setup_run()
+        state = run(state, params, 137)
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state, rng, PHYSICS)
+        assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
+        loaded, _ = read_checkpoint(path, PHYSICS)
+        for name in ("basis", "x", "y"):
+            np.testing.assert_array_equal(
+                getattr(loaded.subspace, name), getattr(state.subspace, name)
+            )
+        assert loaded.subspace.reproduces(loaded.phi, loaded.pi_phi)
+
+    def test_version_2_file_still_resumes(self):
+        params, state, rng = setup_run()
+        assert CHECKPOINT_V2.read_bytes().startswith(b"RSFT-CKPT v2\n")
+        loaded, loaded_rng = read_checkpoint(CHECKPOINT_V2, expect=PHYSICS)
+        with pytest.raises(CheckpointError, match="dynamics.dlambda"):
+            read_checkpoint(CHECKPOINT_V2, expect={**PHYSICS, "dynamics.dlambda": 0.02})
+        reference = reference_run(params, state, 137)
+        np.testing.assert_array_equal(loaded.phi, reference.phi)
+        np.testing.assert_array_equal(loaded.pi_phi, reference.pi_phi)
+        assert (loaded.s, loaded.pi_s, loaded.step_count) == (reference.s, reference.pi_s, 137)
+        assert loaded.subspace is None
+        assert loaded_rng.bit_generator.state == rng.bit_generator.state
+        # the resumed run derives its subspace and follows the reference step
+        resumed = run(loaded, params, 263)
+        reference = reference_run(params, reference, 263)
+        assert resumed.step_count == 400
+        scale = np.abs(reference.pi_phi).max()
+        assert np.abs(resumed.phi - reference.phi).max() <= 1e-12 * scale
+        assert np.abs(resumed.pi_phi - reference.pi_phi).max() <= 1e-12 * scale
+        assert resumed.s == pytest.approx(reference.s, rel=1e-12)
 
     def test_corrupted_byte_is_detected(self, tmp_path):
         params, state, rng = setup_run()
