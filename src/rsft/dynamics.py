@@ -53,7 +53,8 @@ from .lattice import MomentumLattice
 
 INIT_MOMENTUM_HALF_WIDTH = 2.5
 # A direction whose part outside the basis so far is at most this fraction
-# of its norm adds no basis vector: that part is round-off.
+# of its norm adds no basis vector, so a state's arrays are held to this
+# relative accuracy, and round-off never becomes a basis direction.
 SUBSPACE_RANK_TOLERANCE = 1e-12
 
 

@@ -1,4 +1,6 @@
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,20 @@ class TestCheckpoint:
                 getattr(loaded.subspace, name), getattr(state.subspace, name)
             )
         assert loaded.subspace.reproduces(loaded.phi, loaded.pi_phi)
+
+    def test_subspace_dimension_above_three_is_refused(self, tmp_path):
+        params, state, rng = setup_run()
+        state = run(state, params, 10)
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state, rng, PHYSICS)
+        blob = path.read_bytes()
+        n, k = state.subspace.basis.shape[1], state.subspace.basis.shape[0]
+        # the dimension field precedes the k x N basis and the 2k coordinates
+        at = len(blob) - 4 - 8 * k * (n + 2) - 4
+        payload = blob[len(CHECKPOINT_MAGIC) : at] + struct.pack("<I", 4) + blob[at + 4 : -4]
+        path.write_bytes(CHECKPOINT_MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CheckpointError, match="subspace dimension 4"):
+            read_checkpoint(path, PHYSICS)
 
     def test_version_2_file_still_resumes(self):
         params, state, rng = setup_run()
