@@ -22,6 +22,8 @@ from .lattice import MomentumLattice, MassShell, FixedShell, effective_masses, o
 MIN_BATCHES = 8
 MAX_COVARIANCE_SITES = 64
 DEFAULT_MGF_EPSILON = 0.1
+# log of the largest float: the exponential of anything below it is finite
+MAX_EXPONENT = float(np.log(np.finfo(float).max))
 
 
 class EstimatorError(RuntimeError):
@@ -39,12 +41,14 @@ class BatchMeans:
     batch-means standard errors; every accumulator in the package is an
     observable map over this one core.
 
-    Each added value goes only into the current batch of batch_len
-    consecutive samples, so a sample is summed once; a completed batch is
-    folded into the running total.  Its mean is passed through the optional
-    projection before it is stored, so a (T, N) observable can keep (T, S)
-    batch grids; mean() applies the same projection to the running mean
-    over the closed batches and the open one.
+    Each sample goes only into the current batch of batch_len consecutive
+    samples, so it is summed once; a completed batch is folded into the
+    running total, then divided in place into its mean, which is passed
+    through the optional projection before it is stored, so a (T, N)
+    observable can keep (T, S) batch grids.  A projection must return a new
+    object; without one a copy of the mean is stored.  mean() applies the
+    same projection to the running mean over the closed batches and the
+    open one.
     """
 
     def __init__(
@@ -68,13 +72,26 @@ class BatchMeans:
         return mean if self._project is None else self._project(mean)
 
     def add(self, value) -> None:
-        self.count += 1
         self._batch_total += value
+        self._count_sample()
+
+    def add_to_batch(self, fill: Callable[[np.ndarray], object]) -> None:
+        """Take one sample that fill adds, in place, into the open batch
+        total it is given, so a large sample need never exist whole."""
+        fill(self._batch_total)
+        self._count_sample()
+
+    def _count_sample(self) -> None:
+        self.count += 1
         self._batch_count += 1
         if self._batch_count == self.batch_len:
-            self.batch_means.append(self._projected(self._batch_total / self.batch_len))
-            self.total += self._batch_total
-            self._batch_total[...] = 0
+            batch = self._batch_total
+            self.total += batch
+            np.divide(batch, self.batch_len, out=batch)
+            self.batch_means.append(
+                batch.copy() if self._project is None else self._project(batch)
+            )
+            batch[...] = 0
             self._batch_count = 0
 
     def mean(self) -> np.ndarray:
@@ -176,29 +193,27 @@ class MgfAccumulator:
         self.site_p = int(site_p)
         self.site_q = int(site_q)
         self.eps = float(eps)
+        # one row of source signs per pattern, over the distinct sites; the
+        # signs are +-1, so each exponent is the same sum of exact products
+        # whatever order the product takes
         if self.site_p == self.site_q:
-            self._signs = ((1,), (-1,))
+            self._sites = np.array([self.site_p])
+            self._signs = np.array([[1.0], [-1.0]])
         else:
-            self._signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            self._sites = np.array([self.site_p, self.site_q])
+            self._signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         self._moments = BatchMeans(
             (len(self._signs),), batch_len, project=self._finite_difference
         )
 
     def add(self, phi: np.ndarray) -> None:
-        p, q, eps = self.site_p, self.site_q, self.eps
-        if p == q:
-            exponents = np.array([eps * phi[p], -eps * phi[p]])
-        else:
-            exponents = np.array(
-                [eps * (s1 * phi[p] + s2 * phi[q]) for s1, s2 in self._signs]
-            )
-        with np.errstate(over="ignore"):
-            values = np.exp(exponents)
-        if not np.all(np.isfinite(values)):
+        exponents = self.eps * self._signs.dot(phi[self._sites])
+        # exp stays finite below MAX_EXPONENT; a NaN fails the test too
+        if not exponents.max() < MAX_EXPONENT:
             raise EstimatorError(
                 "overflow in exponential source average; reduce the probe amplitude eps"
             )
-        self._moments.add(values)
+        self._moments.add(np.exp(exponents))
 
     def _finite_difference(self, moments: np.ndarray) -> float:
         logs = np.log(moments)
@@ -218,18 +233,59 @@ def _time_step(times: np.ndarray) -> float:
     return float(times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
 
 
-def _phase_rows(times: np.ndarray, freqs: np.ndarray, weights, out: np.ndarray) -> np.ndarray:
-    """out[k] = weights * exp(i times[k] freqs) for evenly spaced times.
+def _unit_phase(angles: np.ndarray) -> np.ndarray:
+    """cos(angles) + i sin(angles), from real cos and sin.
 
-    Row 0 takes direct exponentials; every later row is the one before it
-    times the one-step phase exp(i dt freqs), so the (T, N) grid costs 2N
-    exponentials whatever T is, and the round-off grows by about one ulp
-    per row.
+    These give the bits of np.exp(1j * angles), and unlike numpy's complex
+    exp they are not slowed about tenfold after a complex matmul (measured
+    with OpenBLAS 0.3.31).
     """
-    np.multiply(weights, np.exp(1j * times[0] * freqs), out=out[0])
-    step = np.exp(1j * _time_step(times) * freqs)
-    for k in range(1, times.size):
-        np.multiply(out[k - 1], step, out=out[k])
+    phase = np.empty(angles.shape, dtype=complex)
+    phase.real = np.cos(angles)
+    phase.imag = np.sin(angles)
+    return phase
+
+
+def _phase_rows(
+    times: np.ndarray, freqs: np.ndarray, weights, out: np.ndarray, accumulate: bool = False
+) -> np.ndarray:
+    """out[k] = weights * exp(i times[k] freqs) for evenly spaced times, or,
+    with accumulate, out[k] += that row.
+
+    The rows are a recurrence anchored at the time nearest zero, t_a: row a
+    is the weights, times the unit phase of t_a freqs unless t_a is 0 (as on
+    every odd `GridSpec.plane` grid); each later row is the one before it
+    times the one-step phase exp(i dt freqs), and each earlier row the one
+    after it times its conjugate.  So the (T, N) grid costs N real cos and N
+    real sin (twice that when t_a is not 0) whatever T is, and the
+    round-off grows by about one ulp per row away from the anchor.  Each
+    row is formed in an (N,) buffer and then written or added into out, so
+    accumulating needs no (T, N) temporary and both modes give out the same
+    bits.
+    """
+    anchor = int(np.argmin(np.abs(times)))
+    start = np.empty(np.shape(freqs), dtype=complex)
+    if times[anchor] == 0.0:
+        start[...] = weights
+    else:
+        np.multiply(weights, _unit_phase(times[anchor] * freqs), out=start)
+    step = _unit_phase(_time_step(times) * freqs)
+
+    def put(k: int, row: np.ndarray) -> None:
+        if accumulate:
+            out[k] += row
+        else:
+            out[k] = row
+
+    put(anchor, start)
+    row = start.copy()
+    for k in range(anchor + 1, times.size):
+        np.multiply(row, step, out=row)
+        put(k, row)
+    np.conjugate(step, out=step)
+    for k in range(anchor - 1, -1, -1):
+        np.multiply(start, step, out=start)
+        put(k, start)
     return out
 
 
@@ -296,9 +352,10 @@ class CorrelatorAccumulator:
     the factorized form of the double sum over site pairs.  On a fixed shell
     the time phases are constant, so only the (N,) vector A * phi is
     accumulated and both phases are applied once per batch.  A dynamic shell
-    re-evaluates omega_p from the snapshot, so the (T, N) time-phased vector
-    is rebuilt per sample, by recurrence over the evenly spaced times; the
-    spatial phases never change and are applied once per batch.
+    re-evaluates omega_p from the snapshot, so each sample's (T, N)
+    time-phased vector is formed row by row, by recurrence over the evenly
+    spaced times, and added straight into the open batch; the spatial
+    phases never change and are applied once per batch.
     """
 
     def __init__(
@@ -315,22 +372,20 @@ class CorrelatorAccumulator:
         # frequencies are omega's bits without re-summing the momenta
         self._p_squared = np.sum(momenta * momenta, axis=-1)
         n_sites = lattice.site_count
-        # (N, S) spatial phases exp(-i p . x); the angles come from a real
-        # matmul, since a complex one slows numpy's complex exp about tenfold
-        # until the next real BLAS call (measured with OpenBLAS 0.3.31)
-        spatial_phase = np.exp(-1j * (momenta @ grid.spatial.T))
+        # (N, S) spatial phases exp(-i p . x)
+        spatial_phase = _unit_phase(-(momenta @ grid.spatial.T))
         # completed batches are projected straight onto the (T, S) grid, so
         # memory stays O(T N + batches * T S) at figure scale
-        rows = np.empty((grid.times.shape[0], n_sites), dtype=complex)
+        shape = (grid.times.size, n_sites)
         if isinstance(shell, FixedShell):
+            rows = np.empty(shape, dtype=complex)
             time_phase = _phase_rows(grid.times, omega(momenta, shell.mass), 1.0, rows)
             self._sums = BatchMeans(
                 (n_sites,), batch_len, project=lambda mean: (time_phase * mean) @ spatial_phase
             )
         else:
-            self._rows = rows  # rebuilt in place for every sample
             self._sums = BatchMeans(
-                rows.shape, batch_len, complex, project=lambda mean: mean @ spatial_phase
+                shape, batch_len, complex, project=lambda mean: mean @ spatial_phase
             )
 
     def add(self, phi: np.ndarray) -> None:
@@ -340,7 +395,9 @@ class CorrelatorAccumulator:
         else:
             masses = effective_masses(self.shell, phi)
             freqs = np.sqrt(self._p_squared + masses * masses)
-            self._sums.add(_phase_rows(self.grid.times, freqs, weighted, self._rows))
+            self._sums.add_to_batch(
+                lambda batch: _phase_rows(self.grid.times, freqs, weighted, batch, accumulate=True)
+            )
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
         values = self._sums.mean().reshape(-1)

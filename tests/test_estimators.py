@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,22 @@ def streams(draw):
     return values, batch_len
 
 
+class DividingBatchMeans(BatchMeans):
+    """Reference flush: each closed batch is divided into a new array and
+    projected, then folded into the running total."""
+
+    def add(self, value):
+        self.count += 1
+        self._batch_total += value
+        self._batch_count += 1
+        if self._batch_count == self.batch_len:
+            mean = self._batch_total / self.batch_len
+            self.batch_means.append(mean if self._project is None else self._project(mean))
+            self.total += self._batch_total
+            self._batch_total[...] = 0
+            self._batch_count = 0
+
+
 class TestBatchMeans:
     @given(streams())
     @settings(max_examples=60, deadline=None)
@@ -149,6 +167,32 @@ class TestBatchMeans:
             BatchMeans((), 0)
         with pytest.raises(EstimatorError):
             BatchMeans((), 1).mean()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_in_place_flush_keeps_the_bits_of_a_fresh_division(self, dtype, projected):
+        rng = np.random.default_rng(31)
+        shape = (3, 4)
+        values = rng.normal(size=(43,) + shape)
+        if dtype is complex:
+            values = values + 1j * rng.normal(size=values.shape)
+        matrix = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        project = (lambda mean: mean @ matrix) if projected else None
+        got = feed(BatchMeans(shape, 5, dtype, project), values)
+        want = feed(DividingBatchMeans(shape, 5, dtype, project), values)
+        np.testing.assert_array_equal(np.stack(got.batch_means), np.stack(want.batch_means))
+        np.testing.assert_array_equal(got.mean(), want.mean())
+        for mine, theirs in zip(got.stderr(), want.stderr()):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_stored_batch_mean_is_not_the_open_batch(self):
+        rng = np.random.default_rng(32)
+        values = rng.normal(size=(7, 3))
+        acc = feed(BatchMeans((3,), 2), values[:2])
+        first = acc.batch_means[0].copy()
+        feed(acc, values[2:])
+        np.testing.assert_array_equal(acc.batch_means[0], first)
+        np.testing.assert_array_equal(first, (values[0] + values[1]) / 2)
 
 
 class TestRunningMoments:
@@ -292,10 +336,34 @@ class TestMgf:
         e_half, _, _ = feed(MgfAccumulator(2, 2, 0.04, batch_len=100), samples).result()
         assert abs(e_full - e_half) <= se_full
 
+    @pytest.mark.parametrize("sites", [(2, 2), (1, 5)])
+    def test_exponents_match_the_per_pattern_sum(self, sites):
+        rng = np.random.default_rng(33)
+        samples = synthetic_free_samples(rng, 8, 1.0, 1000)
+        p, q = sites
+        eps = 0.07
+        patterns = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        got = feed(MgfAccumulator(p, q, eps, batch_len=100), samples)
+        want = BatchMeans((2 if p == q else 4,), 100, project=got._finite_difference)
+        for phi in samples:
+            if p == q:
+                exponents = np.array([eps * phi[p], -eps * phi[p]])
+            else:
+                exponents = np.array([eps * (s1 * phi[p] + s2 * phi[q]) for s1, s2 in patterns])
+            want.add(np.exp(exponents))
+        assert got.result() == (want.mean(), float(want.stderr()[0]), 1000)
+
     def test_overflow_raises_with_advice(self):
         acc = MgfAccumulator(0, 1, 0.1, batch_len=10)
         with pytest.raises(EstimatorError, match="eps"):
             acc.add(np.array([1e6, 1e6, 0.0]))
+
+    def test_overflow_check_accepts_large_exponents_and_refuses_nan(self):
+        acc = MgfAccumulator(0, 0, 0.1, batch_len=10)
+        acc.add(np.array([7000.0, 0.0]))  # exp(700) is finite
+        assert np.isfinite(acc.result()[0])
+        with pytest.raises(EstimatorError, match="eps"):
+            acc.add(np.array([np.nan, 0.0]))
 
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
@@ -445,6 +513,36 @@ class TestCorrelator:
         samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
         grid_spec = GridSpec.plane(300.0, 2001, 3.0, 3, axis=2)
         assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-10)
+
+    @pytest.mark.parametrize("shell", [FixedShell(1.0), GlobalDynamicShell(), LocalDynamicShell()])
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(-3.0, 3.0, 20), 0.4 + 0.3 * np.arange(21), np.array([0.7])],
+        ids=["even_count", "off_zero", "single"],
+    )
+    def test_recurrence_anchored_off_zero_matches_direct_exponentials(self, times, shell):
+        # no grid time is 0, so the anchor row takes its own phase
+        rng = np.random.default_rng(34)
+        lattice = MomentumLattice(25, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+        grid_spec = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 5, axis=1).spatial)
+        assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
+
+    def test_dynamic_shell_sums_each_sample_into_its_batch(self):
+        # the open batch, the running total and the (N, S) spatial phase
+        # (S = T here) take three units of T * N complex numbers; neither a
+        # sample nor a flush may allocate a fourth
+        lattice = MomentumLattice(25, 0.1)
+        grid_spec = GridSpec.plane(3.0, 21, 3.0, 21, axis=1)
+        samples = synthetic_free_samples(np.random.default_rng(35), lattice.site_count, 1.0, 4)
+        tracemalloc.start()
+        try:
+            acc = CorrelatorAccumulator(grid_spec, lattice, LocalDynamicShell(), batch_len=2)
+            feed(acc, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * grid_spec.times.size * lattice.site_count * 16
 
     @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
     def test_dynamic_shell_frequencies_are_omega_bitwise(self, shell):
