@@ -121,7 +121,7 @@ def _sampling_observer(cfg: RunConfig, accumulators):
         offset = state.step_count - start
         if offset > 0 and offset % stride == 0:
             for acc in accumulators:
-                acc.add(state.phi)
+                acc.add(state)
 
     return observe
 
@@ -151,7 +151,14 @@ def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_fro
             _checkpoint_observer(cfg, rng, ckpt_path),
             _sampling_observer(cfg, accumulators),
         ]
-        final = dynamics.run(state, params, cfg.total_steps - state.step_count, observers)
+        # every observer acts only at multiples of these, so run calls them
+        # at multiples of their gcd
+        every = math.gcd(
+            cfg.log_every, cfg.checkpoint_every, cfg.thin_stride, cfg.equilibration_steps
+        )
+        final = dynamics.run(
+            state, params, cfg.total_steps - state.step_count, observers, every
+        )
         storage.write_checkpoint(ckpt_path, final, rng, _checkpoint_physics(cfg))
     return final, log.max_abs_total_action
 

@@ -261,6 +261,8 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
     if cfg.covariance_n_sites < 1 or cfg.covariance_n_sites > 64:
         fail("covariance.n_sites", "must be between 1 and 64")
     n = cfg.site_count
+    if cfg.covariance_n_sites > n:
+        fail("covariance.n_sites", f"{cfg.covariance_n_sites} exceeds the lattice of {n} sites")
     for p, q in cfg.mgf_pairs:
         if not (0 <= p < n and 0 <= q < n):
             fail("mgf.pairs", f"site pair ({p},{q}) outside the lattice of {n} sites")

@@ -35,9 +35,11 @@ arrays bitwise gets a basis derived anew.
 
 `run` is the one loop over that step.  Everything that reads a trajectory
 (the conservation log, periodic checkpoints, every sampled estimator) is an
-observer it calls after each step, so a trajectory average is a streaming
-accumulator fed each thinned snapshot.  Observers read phi and pi_phi,
-rebuilt as Q x and Q y only when first read after a step.
+observer it calls after every `every`-th step, so a trajectory average is a
+streaming accumulator fed each thinned snapshot; the steps in between run in
+one call of the step function.  Observers read phi and pi_phi, rebuilt as
+Q x and Q y only when first read after a step, or the coordinates x in the
+basis Q directly (`ExtendedState.coordinates`).
 """
 
 from __future__ import annotations
@@ -169,14 +171,23 @@ class ExtendedState:
     def total_action(self, kind: MatterActionKind, bath: BathParams) -> float:
         return self.s * (self.extended_action(kind, bath) - self.s0)
 
+    def coordinates(self) -> tuple[np.ndarray, tuple[float, float, float]] | None:
+        """(Q^T, x) with phi = Q x: the carried basis and three field
+        coordinates (those past the basis zero), or None when the state
+        carries no subspace that reproduces its arrays."""
+        sub = self.subspace
+        if sub is None or not sub.reproduces(self.phi, self.pi_phi):
+            return None
+        return sub.basis, tuple(float(v) for v in sub.x) + (0.0,) * (3 - sub.x.size)
+
 
 class _LiveState(ExtendedState):
     """The state `run` hands its observers.
 
-    s, pi_s and step_count are current after every step.  phi, pi_phi and
-    subspace are built from the basis and the coordinates x, y (padded to
-    three, the padding zero) when first read after a step; the arrays are
-    read-only.
+    s, pi_s, step_count and the coordinates x, y (padded to three, the
+    padding zero) are current at every observer call.  phi, pi_phi and
+    subspace are built from them and the basis when first read after a
+    step; the arrays are read-only.  `coordinates` reads no array.
     """
 
     def __init__(self, state: ExtendedState, subspace: Subspace):
@@ -187,6 +198,9 @@ class _LiveState(ExtendedState):
         self.x = tuple(float(v) for v in subspace.x) + padding
         self.y = tuple(float(v) for v in subspace.y) + padding
         self.forget()
+
+    def coordinates(self) -> tuple[np.ndarray, tuple[float, float, float]]:
+        return self.basis, self.x
 
     def forget(self) -> None:
         """Drop what was built from the coordinates of an earlier step."""
@@ -335,15 +349,17 @@ def flip_momenta(state: ExtendedState) -> ExtendedState:
     return out
 
 
-def _reduced_leapfrog(x, y, s, pi_s, s0, collective, dlambda, bath):
-    """The step of `_advance` on subspace coordinates, one step per `next`,
-    yielding the new (x, y, s, pi_s).
+def _reduced_steps(x, y, s, pi_s, s0, collective, dlambda, bath, n_steps):
+    """n_steps steps of `_advance` on subspace coordinates; returns the new
+    (x, y, s, pi_s).
 
     x and y are three coordinates (the unused ones zero, and they stay so);
     the first lies along 1/sqrt(N), where M has the eigenvalue
-    `collective` = 1 + cN, and M is the identity on the others.  The matter
-    action and its gradient come from the end of the previous step, and
-    log s with them.  Failures raise the stages of `_advance`.
+    `collective` = 1 + cN, and M is the identity on the others.  Each step
+    starts from the matter action, its gradient and log s of the end of the
+    step before, so a run split into several calls steps bitwise as one
+    call does.  Failures raise the stages of `_advance`, with the index of
+    the failing step within the call.
     """
     h = 0.5 * dlambda
     m_s = bath.m_s
@@ -354,7 +370,7 @@ def _reduced_leapfrog(x, y, s, pi_s, s0, collective, dlambda, bath):
     g0 = collective * x0
     s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
     log_s = math.log(s)
-    while True:
+    for step in range(1, n_steps + 1):
         kick = h * s
         y0 -= kick * g0
         y1 -= kick * x1
@@ -366,18 +382,22 @@ def _reduced_leapfrog(x, y, s, pi_s, s0, collective, dlambda, bath):
         disc = 1.0 + 4.0 * a * b
         if disc < 0.0:
             raise StepFailureError(
-                "bath-kick", f"negative discriminant {disc:.3e} in bath-momentum solve"
+                "bath-kick", f"negative discriminant {disc:.3e} in bath-momentum solve", step
             )
         pi_s_half = 2.0 * b / (1.0 + math.sqrt(disc))
 
         c = dlambda * pi_s_half / (4.0 * m_s)
         if not -1.0 < c < 1.0:
-            raise StepFailureError("scale-drift", f"scale-factor update out of range (c={c:.3e})")
+            raise StepFailureError(
+                "scale-drift", f"scale-factor update out of range (c={c:.3e})", step
+            )
         ratio = (1.0 + c) / (1.0 - c)
         s_before = s
         s = (s * ratio) * ratio
         if not s > 0.0:
-            raise StepFailureError("scale-drift", f"scale factor became nonpositive ({s:.3e})")
+            raise StepFailureError(
+                "scale-drift", f"scale factor became nonpositive ({s:.3e})", step
+            )
         drift = h * (1.0 / s_before + 1.0 / s)
         x0 += drift * y0
         x1 += drift * y1
@@ -394,7 +414,7 @@ def _reduced_leapfrog(x, y, s, pi_s, s0, collective, dlambda, bath):
         y0 -= kick * g0
         y1 -= kick * x1
         y2 -= kick * x2
-        yield (x0, x1, x2), (y0, y1, y2), s, pi_s
+    return (x0, x1, x2), (y0, y1, y2), s, pi_s
 
 
 def run(
@@ -402,18 +422,24 @@ def run(
     params: IntegratorParams,
     n_steps: int,
     observers: Sequence[Observer] = (),
+    every: int = 1,
 ) -> ExtendedState:
-    """Apply n_steps leapfrog steps, invoking every observer after each step;
-    the input state is left untouched and the final state is returned.
+    """Apply n_steps leapfrog steps; the input state is left untouched and
+    the final state is returned.
 
-    The steps run in the state's subspace (see the module docstring): its
-    carried basis if that reproduces phi and pi_phi bitwise, else one
-    derived from them.  Observers receive a live view of the evolving state
-    whose arrays are read-only; they must not hold mutable references across
-    calls.  Step failures propagate with the offending step index attached.
+    Every observer is called after each step whose step_count is a multiple
+    of `every`, and after the last step; the steps between two calls run in
+    one stretch.  The steps run in the state's subspace (see the module
+    docstring): its carried basis if that reproduces phi and pi_phi
+    bitwise, else one derived from them.  Observers receive a live view of
+    the evolving state whose arrays are read-only; they must not hold
+    mutable references across calls.  Step failures propagate with the
+    offending step index attached.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    if every < 1:
+        raise ValueError("every must be at least 1")
     if n_steps == 0:
         return state.copy()
     subspace = state.subspace
@@ -421,15 +447,17 @@ def run(
         subspace = _derive_subspace(state.phi, state.pi_phi)
     live = _LiveState(state, subspace)
     collective = 1.0 + params.action_kind.coupling * state.phi.shape[0]
-    steps = _reduced_leapfrog(
-        live.x, live.y, live.s, live.pi_s, live.s0, collective, params.dlambda, params.bath
-    )
-    for _ in range(n_steps):
+    end = live.step_count + n_steps
+    while live.step_count < end:
+        stretch = min(every - live.step_count % every, end - live.step_count)
         try:
-            live.x, live.y, live.s, live.pi_s = next(steps)
+            live.x, live.y, live.s, live.pi_s = _reduced_steps(
+                live.x, live.y, live.s, live.pi_s, live.s0, collective,
+                params.dlambda, params.bath, stretch,
+            )
         except StepFailureError as err:
-            raise err.with_step_index(live.step_count + 1) from None
-        live.step_count += 1
+            raise err.with_step_index(live.step_count + err.step_index) from None
+        live.step_count += stretch
         live.forget()
         for observer in observers:
             observer(live)

@@ -1,13 +1,19 @@
 """Trajectory-average estimators with batch-means error bars.
 
-All estimators are streaming accumulators fed one field snapshot at a time,
-so figure-scale runs never hold the sample history in memory.  Each one maps
+All estimators are streaming accumulators fed one snapshot at a time, so
+figure-scale runs never hold the sample history in memory.  Each one maps
 a snapshot to an observable (squares, a product block, exponential source
 moments, phased field sums) and feeds it to BatchMeans, the single
 batch-means core: contiguous fixed-length batches folded into a running
 total as they close, an optional projection of each batch mean, and a
 standard error that is reported only once at least eight complete batches
 exist.
+
+A snapshot is a field array or a trajectory state.  A state that carries
+the basis Q of its trajectory's subspace (phi = Q x, at most three
+coordinates) lets the variance, covariance, MGF and fixed-shell correlator
+accumulators skip the field: they buffer x and sum a block of samples in
+coordinate form, mapped to sites through Q once per batch (`_SampleStream`).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import ExtendedState
 from .lattice import MomentumLattice, MassShell, FixedShell, effective_masses, omega
 
 MIN_BATCHES = 8
@@ -24,6 +31,8 @@ MAX_COVARIANCE_SITES = 64
 DEFAULT_MGF_EPSILON = 0.1
 # log of the largest float: the exponential of anything below it is finite
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
+# coordinate samples an accumulator holds before it sums them into its batch
+COORDINATE_BUFFER_LEN = 256
 
 
 class EstimatorError(RuntimeError):
@@ -71,19 +80,37 @@ class BatchMeans:
     def _projected(self, mean: np.ndarray) -> np.ndarray:
         return mean if self._project is None else self._project(mean)
 
-    def add(self, value) -> None:
+    def add(self, value, n: int = 1) -> None:
+        """Take value as the sum of n samples, all of which fall in the open
+        batch (n is at most `room`)."""
         self._batch_total += value
-        self._count_sample()
+        self._count_samples(n)
 
     def add_to_batch(self, fill: Callable[[np.ndarray], object]) -> None:
         """Take one sample that fill adds, in place, into the open batch
         total it is given, so a large sample need never exist whole."""
         fill(self._batch_total)
-        self._count_sample()
+        self._count_samples(1)
 
-    def _count_sample(self) -> None:
-        self.count += 1
-        self._batch_count += 1
+    @property
+    def room(self) -> int:
+        """Samples the open batch takes before it closes."""
+        return self.batch_len - self._batch_count
+
+    def rebase(self, lift: Callable[[np.ndarray], np.ndarray], project=None) -> None:
+        """Carry the running and open-batch totals through the linear map
+        lift, and project later batch means with `project`; the batch means
+        already stored stay.  A BatchMeans of sums in another form, whose
+        projection was project after lift, so continues in lift's form."""
+        self.total = lift(self.total)
+        self._batch_total = lift(self._batch_total)
+        self._project = project
+
+    def _count_samples(self, n: int) -> None:
+        if not 0 < n <= self.room:
+            raise ValueError(f"{n} samples do not fit the open batch")
+        self.count += n
+        self._batch_count += n
         if self._batch_count == self.batch_len:
             batch = self._batch_total
             self.total += batch
@@ -113,6 +140,101 @@ class BatchMeans:
         )
 
 
+class _SampleStream:
+    """The sample interface of the accumulators: `add` takes a field array
+    or a state.
+
+    An array, or a state without coordinates (`ExtendedState.coordinates`),
+    is a site sample, passed to `_add_site(phi)` as the (N,) field.  The
+    first sample, if it is a state with coordinates, binds an accumulator
+    that takes the coordinate path to its basis: `_bind(basis)` sets up
+    batch sums in coordinate form and returns the BatchMeans whose open
+    batch the buffer must not overrun.  After that `add` only appends the
+    sample's coordinates to a buffer, which `_add_coordinates` sums, given
+    the (b, k) coordinates, into the open batch when it holds
+    COORDINATE_BUFFER_LEN samples, when the batch closes and before a
+    result is read.  A sample in another basis, or a site sample, ends the
+    coordinate path for good: the buffer is summed, `_to_site` converts the
+    totals to site form, and the sample goes to `_add_site`.
+    """
+
+    def __init__(self, coordinate_path: bool = True):
+        self._site_only = not coordinate_path
+        self._basis: np.ndarray | None = None
+        self._buffer: list[tuple[float, float, float]] = []
+        self._room = 0
+        self._lead: BatchMeans | None = None
+
+    def add(self, sample) -> None:
+        if not isinstance(sample, ExtendedState):
+            phi = sample
+        else:
+            if not self._site_only:
+                coords = sample.coordinates()
+                if coords is not None and (coords[0] is self._basis or self._bound_to(coords[0])):
+                    buffer = self._buffer
+                    buffer.append(coords[1])
+                    if len(buffer) == self._room:
+                        self._sum_buffer()
+                    return
+            phi = sample.phi
+        if not self._site_only:
+            self._leave_coordinates()
+        self._add_site(phi)
+
+    def _bound_to(self, basis: np.ndarray) -> bool:
+        """Whether samples in basis take the coordinate path; the first one
+        binds the accumulator, which has no samples yet."""
+        if self._basis is None:
+            self._lead = self._bind(basis)
+            self._room = min(COORDINATE_BUFFER_LEN, self._lead.room)
+        elif not np.array_equal(basis, self._basis):
+            return False
+        self._basis = basis
+        return True
+
+    def _sum_buffer(self) -> None:
+        if self._buffer:
+            coords = np.array(self._buffer)[:, : self._basis.shape[0]]
+            self._buffer.clear()
+            self._add_coordinates(coords)
+            self._room = min(COORDINATE_BUFFER_LEN, self._lead.room)
+
+    def _leave_coordinates(self) -> None:
+        if self._basis is not None:
+            self._sum_buffer()
+            self._to_site()
+            self._basis = None
+        self._site_only = True
+
+
+class _FieldMoments(_SampleStream):
+    """Batch sums of field values and of their products, from which the
+    variance and covariance accumulators take means.  On the coordinate
+    path a batch sums X^T X and the column sums of X, which the subclass
+    maps to its sites (`_products_on_sites`, `_values_on_sites`)."""
+
+    def __init__(self, products_shape: tuple, values_shape: tuple, batch_len: int):
+        super().__init__()
+        self._products = BatchMeans(products_shape, batch_len)
+        self._values = BatchMeans(values_shape, batch_len)
+
+    def _bind(self, basis: np.ndarray) -> BatchMeans:
+        k, batch_len = basis.shape[0], self._products.batch_len
+        self._products = BatchMeans((k, k), batch_len, project=self._products_on_sites)
+        self._values = BatchMeans((k,), batch_len, project=self._values_on_sites)
+        return self._products
+
+    def _add_coordinates(self, coords: np.ndarray) -> None:
+        n = coords.shape[0]
+        self._products.add(coords.T @ coords, n)
+        self._values.add(coords.sum(axis=0), n)
+
+    def _to_site(self) -> None:
+        self._products.rebase(self._products_on_sites)
+        self._values.rebase(self._values_on_sites)
+
+
 @dataclass
 class CovarianceResult:
     """Centered covariance estimates for a site subset, with the batch-means
@@ -124,7 +246,7 @@ class CovarianceResult:
     n_samples: int
 
 
-class CovarianceAccumulator:
+class CovarianceAccumulator(_FieldMoments):
     """Covariance of field values over a bounded site subset.
 
     Entries are trajectory averages of phi(p) phi(q) minus the product of
@@ -141,15 +263,23 @@ class CovarianceAccumulator:
         self.sites = sites
         k = len(sites)
         self._index = np.asarray(sites, dtype=int)
-        self._products = BatchMeans((k, k), batch_len)
-        self._values = BatchMeans((k,), batch_len)
+        super().__init__((k, k), (k,), batch_len)
 
-    def add(self, phi: np.ndarray) -> None:
+    def _add_site(self, phi: np.ndarray) -> None:
         sub = phi[self._index]
         self._products.add(np.outer(sub, sub))
         self._values.add(sub)
 
+    def _products_on_sites(self, moments: np.ndarray) -> np.ndarray:
+        q = self._basis[:, self._index]
+        block = q.T @ (moments @ q)
+        return 0.5 * (block + block.T)  # symmetric to the bit, as np.outer is
+
+    def _values_on_sites(self, sums: np.ndarray) -> np.ndarray:
+        return sums @ self._basis[:, self._index]
+
     def result(self) -> CovarianceResult:
+        self._sum_buffer()
         means = self._values.mean()
         matrix = self._products.mean() - np.outer(means, means)
         se = self._products.stderr()
@@ -158,25 +288,32 @@ class CovarianceAccumulator:
         )
 
 
-class VarianceAccumulator:
+class VarianceAccumulator(_FieldMoments):
     """Per-site variance of the field over all lattice sites at once."""
 
     def __init__(self, n_sites: int, batch_len: int):
-        self._squares = BatchMeans((n_sites,), batch_len)
-        self._values = BatchMeans((n_sites,), batch_len)
+        super().__init__((n_sites,), (n_sites,), batch_len)
 
-    def add(self, phi: np.ndarray) -> None:
-        self._squares.add(phi * phi)
+    def _add_site(self, phi: np.ndarray) -> None:
+        self._products.add(phi * phi)
         self._values.add(phi)
+
+    def _products_on_sites(self, moments: np.ndarray) -> np.ndarray:
+        q = self._basis
+        return ((moments @ q) * q).sum(axis=0)
+
+    def _values_on_sites(self, sums: np.ndarray) -> np.ndarray:
+        return sums @ self._basis
 
     def result(self) -> tuple[np.ndarray, np.ndarray | None, int]:
         """(variances, stderr of the square averages or None, sample count)."""
-        variances = self._squares.mean() - self._values.mean() ** 2
-        se = self._squares.stderr()
-        return variances, None if se is None else se[0], self._squares.count
+        self._sum_buffer()
+        variances = self._products.mean() - self._values.mean() ** 2
+        se = self._products.stderr()
+        return variances, None if se is None else se[0], self._products.count
 
 
-class MgfAccumulator:
+class MgfAccumulator(_SampleStream):
     """Second derivative of the log moment generating function by central
     finite differences in the source amplitude.
 
@@ -185,9 +322,13 @@ class MgfAccumulator:
     two patterns +eps, -eps suffice because ln Z(0) = 0 identically.
     Each batch mean of the exponential moments is projected straight onto
     its finite difference, so the error bar is that of the estimate itself.
+    On the coordinate path the field at the probed sites is X times their
+    columns of Q, and a block's exponentials are summed before they enter
+    the batch.
     """
 
     def __init__(self, site_p: int, site_q: int, eps: float, batch_len: int):
+        super().__init__()
         if not 0 < eps <= DEFAULT_MGF_EPSILON:
             raise ValueError(f"eps must be in (0, {DEFAULT_MGF_EPSILON}]")
         self.site_p = int(site_p)
@@ -206,14 +347,28 @@ class MgfAccumulator:
             (len(self._signs),), batch_len, project=self._finite_difference
         )
 
-    def add(self, phi: np.ndarray) -> None:
-        exponents = self.eps * self._signs.dot(phi[self._sites])
+    def _add_site(self, phi: np.ndarray) -> None:
+        self._moments.add(self._exponentials(self.eps * self._signs.dot(phi[self._sites])))
+
+    def _bind(self, basis: np.ndarray) -> BatchMeans:
+        return self._moments
+
+    def _add_coordinates(self, coords: np.ndarray) -> None:
+        fields = coords @ self._basis[:, self._sites]
+        exponentials = self._exponentials(self.eps * fields.dot(self._signs.T))
+        self._moments.add(exponentials.sum(axis=0), coords.shape[0])
+
+    def _to_site(self) -> None:
+        pass  # the moments are sums of exponentials on either path
+
+    @staticmethod
+    def _exponentials(exponents: np.ndarray) -> np.ndarray:
         # exp stays finite below MAX_EXPONENT; a NaN fails the test too
         if not exponents.max() < MAX_EXPONENT:
             raise EstimatorError(
                 "overflow in exponential source average; reduce the probe amplitude eps"
             )
-        self._moments.add(np.exp(exponents))
+        return np.exp(exponents)
 
     def _finite_difference(self, moments: np.ndarray) -> float:
         logs = np.log(moments)
@@ -223,6 +378,7 @@ class MgfAccumulator:
 
     def result(self) -> tuple[float, float | None, int]:
         """(estimate, batch-means stderr or None, sample count)."""
+        self._sum_buffer()
         estimate = self._moments.mean()
         se = self._moments.stderr()
         return estimate, None if se is None else float(se[0]), self._moments.count
@@ -344,15 +500,17 @@ class CorrelatorGrid:
     n_samples: int
 
 
-class CorrelatorAccumulator:
+class CorrelatorAccumulator(_SampleStream):
     """Spacetime two-point correlator estimator.
 
     Per snapshot the estimator accumulates A(l) * B(y, l) with
     A = sum_{p'} phi(p') and B(y) = sum_p phi(p) exp(i(omega_p y0 - p . yvec)),
     the factorized form of the double sum over site pairs.  On a fixed shell
     the time phases are constant, so only the (N,) vector A * phi is
-    accumulated and both phases are applied once per batch.  A dynamic shell
-    re-evaluates omega_p from the snapshot, so each sample's (T, N)
+    accumulated and both phases are applied once per batch; on the
+    coordinate path that vector is Q c with c_j = sqrt(N) x_0 x_j, since
+    the first row of Q is 1/sqrt(N), and a batch sums c.  A dynamic shell
+    re-evaluates omega_p from the snapshot's field, so each sample's (T, N)
     time-phased vector is formed row by row, by recurrence over the evenly
     spaced times, and added straight into the open batch; the spatial
     phases never change and are applied once per batch.
@@ -365,6 +523,7 @@ class CorrelatorAccumulator:
         shell: MassShell,
         batch_len: int,
     ):
+        super().__init__(coordinate_path=isinstance(shell, FixedShell))
         self.grid = grid
         self.shell = shell
         momenta = lattice.site_momenta()
@@ -380,15 +539,15 @@ class CorrelatorAccumulator:
         if isinstance(shell, FixedShell):
             rows = np.empty(shape, dtype=complex)
             time_phase = _phase_rows(grid.times, omega(momenta, shell.mass), 1.0, rows)
-            self._sums = BatchMeans(
-                (n_sites,), batch_len, project=lambda mean: (time_phase * mean) @ spatial_phase
-            )
+            self._on_grid = lambda mean: (time_phase * mean) @ spatial_phase
+            self._root_n = float(np.sqrt(n_sites))
+            self._sums = BatchMeans((n_sites,), batch_len, project=self._on_grid)
         else:
             self._sums = BatchMeans(
                 shape, batch_len, complex, project=lambda mean: mean @ spatial_phase
             )
 
-    def add(self, phi: np.ndarray) -> None:
+    def _add_site(self, phi: np.ndarray) -> None:
         weighted = float(np.sum(phi)) * phi
         if isinstance(self.shell, FixedShell):
             self._sums.add(weighted)
@@ -399,7 +558,25 @@ class CorrelatorAccumulator:
                 lambda batch: _phase_rows(self.grid.times, freqs, weighted, batch, accumulate=True)
             )
 
+    def _sums_on_sites(self, sums: np.ndarray) -> np.ndarray:
+        return sums @ self._basis
+
+    def _bind(self, basis: np.ndarray) -> BatchMeans:
+        self._sums = BatchMeans(
+            (basis.shape[0],),
+            self._sums.batch_len,
+            project=lambda mean: self._on_grid(self._sums_on_sites(mean)),
+        )
+        return self._sums
+
+    def _add_coordinates(self, coords: np.ndarray) -> None:
+        self._sums.add(self._root_n * (coords[:, 0] @ coords), coords.shape[0])
+
+    def _to_site(self) -> None:
+        self._sums.rebase(self._sums_on_sites, self._on_grid)
+
     def result(self, source: str = "mc") -> CorrelatorGrid:
+        self._sum_buffer()
         values = self._sums.mean().reshape(-1)
         se = self._sums.stderr()
         se_re, se_im = (None, None) if se is None else (se[0].reshape(-1), se[1].reshape(-1))

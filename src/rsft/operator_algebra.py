@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import ExtendedState
 from .estimators import BatchMeans
 from .lattice import MomentumLattice, omega
 from .oracles import ExactCovariance
@@ -103,7 +104,8 @@ def gram_exact(
 
 class GramAccumulator:
     """Streaming Gram-matrix estimator over trajectory snapshots: batch means
-    of the products conj(O_i[phi]) O_j[phi] of linear observables."""
+    of the products conj(O_i[phi]) O_j[phi] of linear observables.  A
+    snapshot is a field array or a state, whose field it reads."""
 
     def __init__(self, observables: Sequence[LinearObservable], batch_len: int):
         if not observables:
@@ -112,7 +114,8 @@ class GramAccumulator:
         k = len(self.observables)
         self._acc = BatchMeans((k, k), batch_len, complex)
 
-    def add(self, phi: np.ndarray) -> None:
+    def add(self, sample) -> None:
+        phi = sample.phi if isinstance(sample, ExtendedState) else sample
         values = np.array([obs.evaluate(phi) for obs in self.observables], dtype=complex)
         self._acc.add(np.outer(np.conj(values), values))
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rsft import cli
 from rsft.cli import main
 
 BASE = """
@@ -320,3 +321,62 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "d^2 * dim" in err
         assert err.count("\n") == 1
+
+    def test_covariance_sites_beyond_the_lattice_error_before_any_step(self, tmp_path, capsys):
+        # 2^3 = 8 sites cannot hold a 9-site covariance block
+        text = smoke_config().replace("lattice.n_per_axis = 5", "lattice.n_per_axis = 2")
+        cfg = write_config(tmp_path, text + f"covariance.n_sites = 9\noutput.dir = {tmp_path}/out\n")
+        assert main(["covariance", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "covariance.n_sites" in err
+        line = len(text.splitlines()) + 1
+        assert f"line {line}:" in err and "8 sites" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestObserverCadence:
+    """The trajectory calls its observers every gcd(log_every,
+    checkpoint_every, thin_stride, equilibration_steps) steps; every output
+    equals the one of a run that calls them after every step."""
+
+    @staticmethod
+    def outputs(tmp_path, monkeypatch, stepwise):
+        if stepwise:
+            step_run = cli.dynamics.run
+            monkeypatch.setattr(
+                cli.dynamics,
+                "run",
+                lambda state, params, n_steps, observers, every: step_run(
+                    state, params, n_steps, observers, 1
+                ),
+            )
+        out = tmp_path / "out"
+        smoke = write_config(tmp_path, smoke_config(), "smoke.cfg")
+        half = smoke_config().replace(
+            "dynamics.sampling_steps = 20000", "dynamics.sampling_steps = 5000"
+        )
+        half = write_config(tmp_path, half, "half.cfg")
+        files = {}
+        for subcommand in ("simulate", "correlator", "covariance", "mgf-check", "half"):
+            config = half if subcommand == "half" else smoke
+            name = "simulate" if subcommand == "half" else subcommand
+            assert main([name, "--config", config, "--output-dir", str(out)]) in (0, 1)
+            if subcommand == "half":
+                assert main(
+                    ["resume", "--config", smoke, "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--output-dir", str(out)]
+                ) == 0
+            for path in out.iterdir():
+                files[subcommand, path.name] = path.read_bytes()
+                path.unlink()
+        monkeypatch.undo()
+        return files
+
+    def test_smoke_outputs_equal_a_stepwise_run(self, tmp_path, monkeypatch):
+        stepwise = self.outputs(tmp_path, monkeypatch, stepwise=True)
+        coarse = self.outputs(tmp_path, monkeypatch, stepwise=False)
+        assert sorted(coarse) == sorted(stepwise)
+        assert ("half", "conservation_resume.csv") in coarse
+        for key, data in stepwise.items():
+            assert coarse[key] == data, key

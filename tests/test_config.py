@@ -73,6 +73,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="mgf.pairs"):
             parse_config(MINIMAL + "mgf.pairs = 0:999\n")
 
+    def test_covariance_sites_bounded_by_the_lattice(self):
+        small = MINIMAL.replace("lattice.n_per_axis = 5", "lattice.n_per_axis = 2")
+        assert parse_config(small + "covariance.n_sites = 8\n").covariance_n_sites == 8
+        line = len(small.splitlines()) + 1
+        with pytest.raises(ConfigError, match=f"line {line}: covariance.n_sites: 9 exceeds"):
+            parse_config(small + "covariance.n_sites = 9\n")
+
     def test_grid_x_points_reported_under_its_own_key(self):
         lines = (CONFIG_DIR / "smoke.cfg").read_text().splitlines()
         lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("grid.x_points"))

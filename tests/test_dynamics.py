@@ -329,3 +329,87 @@ class TestSubspacePath:
         run(state, params, 3, [lambda live: seen.append(live.phi)] * 2)
         assert seen[0] is seen[1] and seen[2] is seen[3]
         assert seen[1] is not seen[2]
+
+
+class TestCadence:
+    """`run(..., every=g)` calls its observers at multiples of g and after
+    its last step, and steps in between in one call."""
+
+    @staticmethod
+    def snapshots(state, params, n_steps, every, keep):
+        seen = {}
+
+        def observer(live):
+            if keep(live.step_count):
+                seen[live.step_count] = (live.phi.copy(), live.pi_phi.copy(), live.s, live.pi_s)
+
+        final = run(state, params, n_steps, [observer], every)
+        return seen, final
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    @pytest.mark.parametrize("start, every", [(0, 10), (3, 7), (5, 1)])
+    def test_states_at_multiples_are_bitwise_those_of_every_step(self, kind, start, every):
+        _, _, params, state, _ = default_setup(n_per_axis=5, kind=kind)
+        state = run(state, params, start) if start else state
+        end = start + 123
+        keep = lambda step: step % every == 0 or step == end  # noqa: E731
+        coarse, final = self.snapshots(state, params, 123, every, lambda step: True)
+        fine, reference = self.snapshots(state, params, 123, 1, keep)
+        assert sorted(coarse) == sorted(fine)
+        assert sorted(coarse) == [s for s in range(start + 1, end + 1) if keep(s)]
+        for step, (phi, pi_phi, s, pi_s) in fine.items():
+            got = coarse[step]
+            np.testing.assert_array_equal(got[0], phi)
+            np.testing.assert_array_equal(got[1], pi_phi)
+            assert (got[2], got[3]) == (s, pi_s)
+        np.testing.assert_array_equal(final.phi, reference.phi)
+        assert final.subspace.reproduces(final.phi, final.pi_phi)
+
+    @pytest.mark.parametrize(
+        "kind, dlambda, start, every",
+        [(COLLECTIVE, 50.0, 5, 4), (FREE, 1.0, 0, 5)],
+        ids=["first_in_stretch", "inside_stretch"],
+    )
+    def test_failure_off_a_multiple_keeps_stage_and_index(self, kind, dlambda, start, every):
+        _, bath, _, state, _ = default_setup(n_per_axis=3, kind=kind)
+        state.step_count = start
+        bad = IntegratorParams(dlambda, bath, kind)
+        with pytest.raises(StepFailureError) as stepwise:
+            run(state, bad, 20)
+        with pytest.raises(StepFailureError) as stretched:
+            run(state, bad, 20, every=every)
+        assert stepwise.value.step_index % every != 0
+        assert stretched.value.stage == stepwise.value.stage
+        assert stretched.value.step_index == stepwise.value.step_index
+        assert str(stretched.value) == str(stepwise.value)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_every_below_one_is_refused(self, every):
+        _, _, params, state, _ = default_setup(n_per_axis=3)
+        with pytest.raises(ValueError, match="every"):
+            run(state, params, 10, every=every)
+
+
+class TestCoordinates:
+    def test_live_state_coordinates_lift_to_phi(self):
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        seen = []
+
+        def observer(live):
+            basis, x = live.coordinates()
+            assert len(x) == 3 and x[basis.shape[0]:] == (0.0,) * (3 - basis.shape[0])
+            lifted = sum(x[j] * basis[j] for j in range(basis.shape[0]))
+            seen.append(np.abs(lifted - live.phi).max())
+
+        run(state, params, 50, [observer], every=10)
+        assert len(seen) == 5 and max(seen) <= 1e-14
+
+    def test_plain_state_has_coordinates_only_with_a_reproducing_basis(self):
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        assert state.coordinates() is None
+        out = run(state, params, 30)
+        basis, x = out.coordinates()
+        assert basis is out.subspace.basis
+        assert x == tuple(out.subspace.x) + (0.0,) * (3 - basis.shape[0])
+        out.phi[0] += 0.25
+        assert out.coordinates() is None

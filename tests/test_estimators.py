@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rsft import dynamics
 from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import IntegratorParams, init_state, run
+from rsft.dynamics import ExtendedState, IntegratorParams, Subspace, init_state, run
 from rsft.estimators import (
+    COORDINATE_BUFFER_LEN,
     MIN_BATCHES,
     BatchMeans,
     CorrelatorAccumulator,
@@ -193,6 +195,26 @@ class TestBatchMeans:
         feed(acc, values[2:])
         np.testing.assert_array_equal(acc.batch_means[0], first)
         np.testing.assert_array_equal(first, (values[0] + values[1]) / 2)
+
+    def test_a_sum_of_samples_equals_the_samples_one_by_one(self):
+        # integer values keep every sum exact; chunks end at batch edges
+        values = np.arange(1.0, 24.0)
+        one_by_one = feed(BatchMeans((), batch_len=5), values)
+        chunked = BatchMeans((), batch_len=5)
+        for chunk in np.split(values, [3, 5, 10, 14, 15, 20]):
+            chunked.add(chunk.sum(), len(chunk))
+        assert (chunked.count, chunked.mean()) == (one_by_one.count, one_by_one.mean())
+        np.testing.assert_array_equal(chunked.batch_means, one_by_one.batch_means)
+
+    def test_a_sum_must_fit_the_open_batch(self):
+        acc = BatchMeans((), batch_len=5)
+        acc.add(3.0, 3)
+        assert acc.room == 2
+        with pytest.raises(ValueError, match="open batch"):
+            acc.add(3.0, 3)
+        with pytest.raises(ValueError, match="open batch"):
+            acc.add(0.0, 0)
+        assert (acc.count, acc.room) == (3, 2)
 
 
 class TestRunningMoments:
@@ -592,3 +614,156 @@ class TestDefaultBatchLen:
         assert default_batch_len(400_000, 10) == 625
         assert default_batch_len(1000, 10) == 100
         assert default_batch_len(1_000_000, 1) == 15_625
+
+
+def trajectory(n_per_axis, kind, seed):
+    """An equilibrated desk-style trajectory start: lattice, params, state."""
+    lattice = MomentumLattice(n_per_axis, 0.1)
+    bath = BathParams(1.0, float(lattice.site_count), lattice.site_count)
+    params = IntegratorParams(0.01, bath, kind)
+    state, _ = init_state(lattice, bath, kind, seed)
+    return lattice, params, run(state, params, 1000)
+
+
+def coordinate_path_accumulators(lattice, batch_len):
+    """The four accumulators that take the coordinate path, MGF twice."""
+    n = lattice.site_count
+    return [
+        VarianceAccumulator(n, batch_len),
+        CovarianceAccumulator((0, 3, 17, n - 1), batch_len),
+        MgfAccumulator(5, 5, 0.05, batch_len),
+        MgfAccumulator(3, n - 1, 0.05, batch_len),
+        CorrelatorAccumulator(GridSpec.plane(2.0, 5, 2.0, 4, axis=1), lattice, FixedShell(1.0), batch_len),
+    ]
+
+
+def reported(acc):
+    """(the arrays an accumulator reports, its sample count)."""
+    out = acc.result()
+    if isinstance(acc, CorrelatorAccumulator):
+        return (out.values, out.stderr_re, out.stderr_im), out.n_samples
+    if isinstance(acc, CovarianceAccumulator):
+        return (out.matrix, out.stderr), out.n_samples
+    return out[:2], out[2]
+
+
+def assert_paths_agree(coordinate, site, rtol=1e-10):
+    for mine, reference in zip(coordinate, site):
+        got, count = reported(mine)
+        want, want_count = reported(reference)
+        assert count == want_count
+        for value, target in zip(got, want):
+            if target is None:
+                assert value is None
+                continue
+            scale = np.abs(target).max()
+            assert np.abs(np.asarray(value) - target).max() <= rtol * scale
+
+
+def sampler(coordinate, site, stride=10, site_arrays=False):
+    """Observer feeding the live state to `coordinate` (its field when
+    site_arrays) and the field to `site` at every stride-th step."""
+
+    def observe(live):
+        if live.step_count % stride == 0:
+            for acc in coordinate:
+                acc.add(live.phi if site_arrays else live)
+            for acc in site:
+                acc.add(live.phi)
+
+    return observe
+
+
+class TestCoordinatePath:
+    """Fed states, the variance, covariance, MGF and fixed-shell correlator
+    accumulators work on subspace coordinates; fed fields, on sites."""
+
+    @pytest.mark.parametrize("n_per_axis", [9, 25])
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_matches_site_path_with_a_mid_batch_read(self, kind, n_per_axis):
+        lattice, params, state = trajectory(n_per_axis, kind, seed=3)
+        coordinate = coordinate_path_accumulators(lattice, batch_len=7)
+        site = coordinate_path_accumulators(lattice, batch_len=7)
+        # 60 samples: 8 batches of 7 and 4 samples of the ninth
+        state = run(state, params, 600, [sampler(coordinate, site)], every=10)
+        assert all(acc._buffer for acc in coordinate)
+        assert_paths_agree(coordinate, site)
+        # 47 more from the returned state, whose basis is an equal copy:
+        # 15 batches and 2 samples of the sixteenth
+        run(state, params, 470, [sampler(coordinate, site)], every=10)
+        assert all(acc._basis is not None for acc in coordinate)
+        assert_paths_agree(coordinate, site)
+
+    @pytest.mark.parametrize("then", ["other_basis", "arrays"])
+    def test_second_basis_or_an_array_continues_on_site_path(self, then):
+        lattice, params, state = trajectory(9, COLLECTIVE, seed=3)
+        coordinate = coordinate_path_accumulators(lattice, batch_len=7)
+        site = coordinate_path_accumulators(lattice, batch_len=7)
+        # 30 samples: 4 batches and 2 samples of the fifth
+        run(state, params, 300, [sampler(coordinate, site)], every=10)
+        if then == "other_basis":
+            _, _, other = trajectory(9, COLLECTIVE, seed=4)
+            run(other, params, 500, [sampler(coordinate, site)], every=10)
+        else:
+            run(state, params, 500, [sampler(coordinate, site, site_arrays=True)], every=10)
+        assert all(acc._basis is None and acc._site_only for acc in coordinate)
+        assert_paths_agree(coordinate, site)
+
+    def test_coordinate_path_builds_no_field(self, monkeypatch):
+        lattice, params, state = trajectory(9, FREE, seed=5)
+        coordinate = coordinate_path_accumulators(lattice, batch_len=7)
+        site = coordinate_path_accumulators(lattice, batch_len=7)
+        run(state, params, 650, [sampler([], site)], every=10)
+
+        def no_field(live):
+            raise AssertionError("the coordinate path read phi")
+
+        monkeypatch.setattr(dynamics._LiveState, "phi", property(no_field))
+        feed_states = sampler(coordinate, [])
+
+        def observe(live):
+            feed_states(live)
+            assert live._subspace is None  # nor built a Subspace
+
+        run(state, params, 650, [observe], every=10)
+        monkeypatch.undo()
+        assert_paths_agree(coordinate, site)
+
+    def test_buffer_stays_bounded_at_a_huge_batch_len(self):
+        lattice, params, state = trajectory(9, COLLECTIVE, seed=6)
+        accs = coordinate_path_accumulators(lattice, batch_len=10**6)
+        tracemalloc.start()
+        try:
+            run(state, params, 4000, [sampler(accs, [], stride=1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(0 < len(acc._buffer) <= COORDINATE_BUFFER_LEN for acc in accs)
+        # 4000 buffered samples would hold 4000 coordinate tuples of about
+        # 130 bytes each, over 0.5 MB
+        assert peak <= 150_000, peak
+        assert all(reported(acc)[1] == 4000 for acc in accs)
+
+    def test_plain_state_with_a_reproducing_basis_takes_the_coordinate_path(self):
+        lattice, params, state = trajectory(5, COLLECTIVE, seed=7)
+        coordinate = coordinate_path_accumulators(lattice, batch_len=3)
+        site = coordinate_path_accumulators(lattice, batch_len=3)
+        for _ in range(30):
+            state = run(state, params, 10)
+            for mine, reference in zip(coordinate, site):
+                mine.add(state)
+                reference.add(state.phi)
+        assert all(acc._basis is not None for acc in coordinate)
+        assert_paths_agree(coordinate, site)
+
+    def test_overflow_is_raised_when_the_buffer_is_summed(self):
+        n = 8
+        basis = np.full((1, n), 1.0 / np.sqrt(n))
+        x = np.array([1e6])
+        state = ExtendedState(
+            x[0] * basis[0], 0.0 * basis[0], 1.0, 0.0, 0.0, 0, Subspace(basis, x, np.zeros(1))
+        )
+        acc = MgfAccumulator(0, 1, 0.1, batch_len=10)
+        acc.add(state)
+        with pytest.raises(EstimatorError, match="eps"):
+            acc.result()

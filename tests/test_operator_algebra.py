@@ -6,6 +6,7 @@ import pytest
 
 from rsft.action import MatterActionKind
 from rsft import operator_algebra
+from rsft.dynamics import run
 from rsft.lattice import MomentumLattice
 from rsft.operator_algebra import (
     AlgebraError,
@@ -30,7 +31,7 @@ from rsft.operator_algebra import (
     standard_packet_configuration,
 )
 from rsft.oracles import exact_covariance, smeared_commutator
-from tests.test_estimators import feed, synthetic_collective_samples
+from tests.test_estimators import feed, synthetic_collective_samples, trajectory
 
 FREE = MatterActionKind.FREE
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
@@ -116,6 +117,24 @@ class TestGram:
                 assert abs(sampled.matrix[i, j].imag - exact.matrix[i, j].imag) <= (
                     5.0 * sampled.stderr_im[i, j]
                 )
+
+
+    def test_state_samples_read_the_field(self):
+        lattice, params, state = trajectory(5, COLLECTIVE, seed=2)
+        rng = np.random.default_rng(3)
+        n = lattice.site_count
+        obs = [LinearObservable(rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(3)]
+        from_states = GramAccumulator(obs, batch_len=4)
+        from_fields = GramAccumulator(obs, batch_len=4)
+
+        def observe(live):
+            from_states.add(live)
+            from_fields.add(live.phi)
+
+        run(state, params, 50, [observe])
+        got, want = from_states.result(), from_fields.result()
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+        np.testing.assert_array_equal(got.stderr_re, want.stderr_re)
 
 
 class TestQuotient:
