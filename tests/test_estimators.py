@@ -197,7 +197,7 @@ class TestBatchMeans:
         np.testing.assert_array_equal(first, (values[0] + values[1]) / 2)
 
     def test_a_sum_of_samples_equals_the_samples_one_by_one(self):
-        # integer values keep every sum exact; chunks end at batch edges
+        # integer values keep every sum exact; each chunk lies in one batch
         values = np.arange(1.0, 24.0)
         one_by_one = feed(BatchMeans((), batch_len=5), values)
         chunked = BatchMeans((), batch_len=5)
