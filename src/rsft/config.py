@@ -8,6 +8,7 @@ naming the offending line and key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -225,6 +226,10 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         where = f"line {lineno}: " if lineno is not None else ""
         raise ConfigError(f"{where}{key}: {message}")
 
+    for key, (attr, convert, _fmt) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if convert is float and value is not None and not math.isfinite(value):
+            fail(key, f"must be finite, got {value!r}")
     if cfg.n_per_axis < 1:
         fail("lattice.n_per_axis", "must be a positive integer")
     if not cfg.spacing > 0:
@@ -252,6 +257,10 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         fail("dynamics.batch_len", "must be at least 1")
     if cfg.seed < 0 or cfg.seed >= 2**64:
         fail("seed", "must fit in 64 unsigned bits")
+    if cfg.grid_t_extent < 0:
+        fail("grid.t_extent", "must be nonnegative")
+    if cfg.grid_x_extent < 0:
+        fail("grid.x_extent", "must be nonnegative")
     if cfg.grid_t_points < 1:
         fail("grid.t_points", "must be at least 1")
     if cfg.grid_x_points < 1:

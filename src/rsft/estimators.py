@@ -53,9 +53,9 @@ class BatchMeans:
     Each sample goes only into the current batch of batch_len consecutive
     samples, so it is summed once; a completed batch is folded into the
     running total, then divided in place into its mean, which is passed
-    through the optional projection before it is stored, so a (T, N)
-    observable can keep (T, S) batch grids.  A projection must return a new
-    object; without one a copy of the mean is stored.  mean() applies the
+    through the optional projection before it is stored, so the
+    correlator's (N,) or (R, G) sums keep (T, S) batch grids.  A projection
+    must return a new object; without one a copy of the mean is stored.  mean() applies the
     same projection to the running mean over the closed batches and the
     open one.
     """
@@ -85,12 +85,6 @@ class BatchMeans:
         batch (n is at most `room`)."""
         self._batch_total += value
         self._count_samples(n)
-
-    def add_to_batch(self, fill: Callable[[np.ndarray], object]) -> None:
-        """Take one sample that fill adds, in place, into the open batch
-        total it is given, so a large sample need never exist whole."""
-        fill(self._batch_total)
-        self._count_samples(1)
 
     @property
     def room(self) -> int:
@@ -402,47 +396,36 @@ def _unit_phase(angles: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _phase_rows(
-    times: np.ndarray, freqs: np.ndarray, weights, out: np.ndarray, accumulate: bool = False
-) -> np.ndarray:
-    """out[k] = weights * exp(i times[k] freqs) for evenly spaced times, or,
-    with accumulate, out[k] += that row.
+def _phase_rows(anchor_time, dt, before, after, freqs, weights, put) -> None:
+    """put(before + j, row) for j = -before .. after, where row is
+    weights * exp(i (anchor_time + j dt) freqs).
 
-    The rows are a recurrence anchored at the time nearest zero, t_a: row a
-    is the weights, times the unit phase of t_a freqs unless t_a is 0 (as on
-    every odd `GridSpec.plane` grid); each later row is the one before it
-    times the one-step phase exp(i dt freqs), and each earlier row the one
-    after it times its conjugate.  So the (T, N) grid costs N real cos and N
-    real sin (twice that when t_a is not 0) whatever T is, and the
-    round-off grows by about one ulp per row away from the anchor.  Each
-    row is formed in an (N,) buffer and then written or added into out, so
-    accumulating needs no (T, N) temporary and both modes give out the same
-    bits.
+    The rows are a recurrence from the anchor: row 0 is the weights, times
+    the unit phase of anchor_time freqs unless that time is 0; each later
+    row is the one before it times the one-step phase exp(i dt freqs), and
+    each earlier row the one after it times its conjugate.  So the rows cost
+    N real cos and N real sin (twice that when the anchor time is not 0)
+    however many there are, and the round-off grows by about one ulp per
+    row away from the anchor.  Each row is formed in an (N,) buffer that
+    put must not keep.  With real weights and anchor time 0, row -j is
+    bitwise the conjugate of row j.
     """
-    anchor = int(np.argmin(np.abs(times)))
     start = np.empty(np.shape(freqs), dtype=complex)
-    if times[anchor] == 0.0:
+    if anchor_time == 0.0:
         start[...] = weights
     else:
-        np.multiply(weights, _unit_phase(times[anchor] * freqs), out=start)
-    step = _unit_phase(_time_step(times) * freqs)
-
-    def put(k: int, row: np.ndarray) -> None:
-        if accumulate:
-            out[k] += row
-        else:
-            out[k] = row
-
-    put(anchor, start)
-    row = start.copy()
-    for k in range(anchor + 1, times.size):
+        np.multiply(weights, _unit_phase(anchor_time * freqs), out=start)
+    step = _unit_phase(dt * freqs)
+    put(before, start)
+    row = start.copy() if before else start
+    for k in range(before + 1, before + after + 1):
         np.multiply(row, step, out=row)
         put(k, row)
-    np.conjugate(step, out=step)
-    for k in range(anchor - 1, -1, -1):
-        np.multiply(start, step, out=start)
-        put(k, start)
-    return out
+    if before:
+        np.conjugate(step, out=step)
+        for k in range(before - 1, -1, -1):
+            np.multiply(start, step, out=start)
+            put(k, start)
 
 
 @dataclass(frozen=True)
@@ -505,15 +488,27 @@ class CorrelatorAccumulator(_SampleStream):
 
     Per snapshot the estimator accumulates A(l) * B(y, l) with
     A = sum_{p'} phi(p') and B(y) = sum_p phi(p) exp(i(omega_p y0 - p . yvec)),
-    the factorized form of the double sum over site pairs.  On a fixed shell
-    the time phases are constant, so only the (N,) vector A * phi is
-    accumulated and both phases are applied once per batch; on the
-    coordinate path that vector is Q c with c_j = sqrt(N) x_0 x_j, since
-    the first row of Q is 1/sqrt(N), and a batch sums c.  A dynamic shell
-    re-evaluates omega_p from the snapshot's field, so each sample's (T, N)
-    time-phased vector is formed row by row, by recurrence over the evenly
-    spaced times, and added straight into the open batch; the spatial
-    phases never change and are applied once per batch.
+    the factorized form of the double sum over site pairs.
+
+    The spatial phase exp(-i p . yvec) depends on p only through its integer
+    site coordinates on the axes where some spatial point is nonzero: one
+    axis on a `GridSpec.plane` grid, so 25 groups of sites at 25^3.  The
+    sites are put in group order once, and every time-phased row is summed
+    over each group before it is stored, so a batch holds (R, G) rows for
+    G groups and is mapped to the (T, S) grid through the (G, S) group
+    phases.  The time phases come from `_phase_rows`, anchored at the grid
+    time t_a nearest zero.  When t_a is 0, as on every odd plane grid, the
+    rows (real weights) at t_a - j dt are the conjugates of those at
+    t_a + j dt, so only the R = max(a, T-1-a) + 1 rows j >= 0 are formed and
+    the projection unfolds the mean; otherwise R = T.
+
+    On a fixed shell the time phases are constant: only the (N,) vector
+    A * phi is accumulated (on the coordinate path, Q c with
+    c_j = sqrt(N) x_0 x_j, since the first row of Q is 1/sqrt(N), and a
+    batch sums c), and a batch mean is phased by the (R, N) time rows and
+    summed over the groups.  A dynamic shell re-evaluates omega_p from the
+    snapshot's field, so each sample forms its R rows in an (N,) buffer and
+    sums each over the groups, O(R N) work in O(N + R G) memory.
     """
 
     def __init__(
@@ -530,33 +525,64 @@ class CorrelatorAccumulator(_SampleStream):
         # |p|^2 as `omega` sums it, so a dynamic shell's per-sample
         # frequencies are omega's bits without re-summing the momenta
         self._p_squared = np.sum(momenta * momenta, axis=-1)
-        n_sites = lattice.site_count
-        # (N, S) spatial phases exp(-i p . x)
-        spatial_phase = _unit_phase(-(momenta @ grid.spatial.T))
-        # completed batches are projected straight onto the (T, S) grid, so
-        # memory stays O(T N + batches * T S) at figure scale
-        shape = (grid.times.size, n_sites)
+        n = lattice.n_per_axis
+        moving = np.any(grid.spatial != 0.0, axis=0)
+        coords = np.indices((n, n, n)).reshape(3, -1) * moving[:, None]
+        key = np.ravel_multi_index(tuple(coords), (n, n, n))
+        order = np.argsort(key, kind="stable")
+        # sites are already in group order unless the moving axes are minor
+        self._order = slice(None) if np.all(np.diff(order) == 1) else order
+        key = key[self._order]
+        self._starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        # (G, S) phases exp(-i p . x) of one site of each group
+        members = momenta[self._order]
+        self._group_phase = _unit_phase(-(members[self._starts] @ grid.spatial.T))
+        # (anchor time, dt, rows before it, rows after it) for `_phase_rows`
+        times = grid.times
+        a, last = int(np.argmin(np.abs(times))), times.size - 1
+        if times[a] == 0.0:
+            self._span = (0.0, _time_step(times), 0, max(a, last - a))
+            self._time_index, self._mirrored = np.abs(np.arange(last + 1) - a), a
+        else:
+            self._span = (times[a], _time_step(times), a, last - a)
+            self._time_index, self._mirrored = np.arange(last + 1), 0
+        n_rows = self._span[2] + self._span[3] + 1
         if isinstance(shell, FixedShell):
-            rows = np.empty(shape, dtype=complex)
-            time_phase = _phase_rows(grid.times, omega(momenta, shell.mass), 1.0, rows)
-            self._on_grid = lambda mean: (time_phase * mean) @ spatial_phase
-            self._root_n = float(np.sqrt(n_sites))
-            self._sums = BatchMeans((n_sites,), batch_len, project=self._on_grid)
+            time_rows = np.empty((n_rows, momenta.shape[0]), dtype=complex)
+            freqs = omega(members, shell.mass)
+            _phase_rows(*self._span, freqs, 1.0, time_rows.__setitem__)
+            self._project = lambda mean: self._on_grid(
+                np.add.reduceat(time_rows * mean[self._order], self._starts, axis=1)
+            )
+            self._root_n = float(np.sqrt(lattice.site_count))
+            self._sums = BatchMeans((lattice.site_count,), batch_len, project=self._project)
         else:
             self._sums = BatchMeans(
-                shape, batch_len, complex, project=lambda mean: mean @ spatial_phase
+                (n_rows, self._starts.size), batch_len, complex, project=self._on_grid
             )
+
+    def _on_grid(self, rows: np.ndarray) -> np.ndarray:
+        """(T, S) grid of (R, G) group sums of time-phased rows."""
+        grid = rows[self._time_index]
+        mirrored = grid[: self._mirrored]
+        np.conjugate(mirrored, out=mirrored)
+        return grid @ self._group_phase
 
     def _add_site(self, phi: np.ndarray) -> None:
         weighted = float(np.sum(phi)) * phi
         if isinstance(self.shell, FixedShell):
             self._sums.add(weighted)
-        else:
-            masses = effective_masses(self.shell, phi)
-            freqs = np.sqrt(self._p_squared + masses * masses)
-            self._sums.add_to_batch(
-                lambda batch: _phase_rows(self.grid.times, freqs, weighted, batch, accumulate=True)
-            )
+            return
+        masses = effective_masses(self.shell, phi)
+        freqs = np.sqrt(self._p_squared + masses * masses)[self._order]
+        sample = np.empty(self._sums.total.shape, dtype=complex)
+        starts = self._starts
+
+        def put(k: int, row: np.ndarray) -> None:
+            np.add.reduceat(row, starts, out=sample[k])
+
+        _phase_rows(*self._span, freqs, weighted[self._order], put)
+        self._sums.add(sample)
 
     def _sums_on_sites(self, sums: np.ndarray) -> np.ndarray:
         return sums @ self._basis
@@ -565,7 +591,7 @@ class CorrelatorAccumulator(_SampleStream):
         self._sums = BatchMeans(
             (basis.shape[0],),
             self._sums.batch_len,
-            project=lambda mean: self._on_grid(self._sums_on_sites(mean)),
+            project=lambda mean: self._project(self._sums_on_sites(mean)),
         )
         return self._sums
 
@@ -573,7 +599,7 @@ class CorrelatorAccumulator(_SampleStream):
         self._sums.add(self._root_n * (coords[:, 0] @ coords), coords.shape[0])
 
     def _to_site(self) -> None:
-        self._sums.rebase(self._sums_on_sites, self._on_grid)
+        self._sums.rebase(self._sums_on_sites, self._project)
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
         self._sum_buffer()

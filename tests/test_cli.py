@@ -334,6 +334,17 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_mass_errors_before_any_step(self, tmp_path, capsys):
+        # a NaN mass used to integrate the whole run and fail every gate
+        text = smoke_config().replace("physics.mass = 1.0", "physics.mass = nan")
+        cfg = write_config(tmp_path, text + f"output.dir = {tmp_path}/out\n")
+        assert main(["correlator", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        line = text.splitlines().index("physics.mass = nan") + 1
+        assert err.startswith(f"error: line {line}: physics.mass: must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestObserverCadence:
     """The trajectory calls its observers every gcd(log_every,

@@ -80,6 +80,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"line {line}: covariance.n_sites: 9 exceeds"):
             parse_config(small + "covariance.n_sites = 9\n")
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("physics.mass", "nan", "must be finite"),
+            ("physics.beta", "inf", "must be finite"),
+            ("lattice.spacing", "inf", "must be finite"),
+            ("grid.t_extent", "nan", "must be finite"),
+            ("grid.t_extent", "-1.0", "must be nonnegative"),
+            ("grid.x_extent", "-1.0", "must be nonnegative"),
+        ],
+    )
+    def test_non_finite_floats_and_negative_extents_rejected_with_line(self, key, value, message):
+        line = len(MINIMAL.splitlines()) + 1
+        with pytest.raises(ConfigError, match=rf"^line {line}: {key}: {message}"):
+            parse_config(MINIMAL.replace(f"{key} = ", "# ") + f"{key} = {value}\n")
+
     def test_grid_x_points_reported_under_its_own_key(self):
         lines = (CONFIG_DIR / "smoke.cfg").read_text().splitlines()
         lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("grid.x_points"))

@@ -550,10 +550,26 @@ class TestCorrelator:
         grid_spec = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 5, axis=1).spatial)
         assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
 
-    def test_dynamic_shell_sums_each_sample_into_its_batch(self):
-        # the open batch, the running total and the (N, S) spatial phase
-        # (S = T here) take three units of T * N complex numbers; neither a
-        # sample nor a flush may allocate a fourth
+    @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(-3.0, 3.0, 21), np.linspace(-3.0, 3.0, 20), 0.4 + 0.3 * np.arange(21)],
+        ids=["odd", "even", "off_zero"],
+    )
+    def test_grouped_sites_match_direct_exponentials_on_every_axis(self, times, axis, shell):
+        # a plane grid groups the 15 625 sites by their coordinate on its
+        # axis; the odd grid also folds its mirrored times
+        rng = np.random.default_rng(36)
+        lattice = MomentumLattice(25, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+        grid_spec = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 5, axis=axis).spatial)
+        assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
+
+    def test_dynamic_shell_peaks_below_one_time_by_site_array(self):
+        # a sample's rows are summed over the 25 site groups of the plane
+        # grid as they are formed, and only the 11 rows from t = 0 on are
+        # kept, so no (T, N) array is ever built
         lattice = MomentumLattice(25, 0.1)
         grid_spec = GridSpec.plane(3.0, 21, 3.0, 21, axis=1)
         samples = synthetic_free_samples(np.random.default_rng(35), lattice.site_count, 1.0, 4)
@@ -564,25 +580,44 @@ class TestCorrelator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * grid_spec.times.size * lattice.site_count * 16
+        assert acc._sums.total.shape == (11, 25)
+        assert peak < grid_spec.times.size * lattice.site_count * 16
+
+    def test_mirrored_phase_rows_are_bitwise_conjugates(self):
+        # the fold rests on this: from t_a = 0 with real weights, the
+        # recurrence backwards is the conjugate of the one forwards
+        rng = np.random.default_rng(37)
+        freqs = np.sqrt(rng.uniform(0.0, 3.0, 500) + rng.normal(size=500) ** 2)
+        weights = rng.normal(size=500)
+        rows = np.empty((21, 500), dtype=complex)
+        _phase_rows(0.0, 0.3, 10, 10, freqs, weights, rows.__setitem__)
+        for k in range(11):
+            np.testing.assert_array_equal(rows[10 - k], np.conj(rows[10 + k]))
+        assert np.all(rows[10].imag == 0.0) and np.any(rows[11].imag != 0.0)
 
     @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
     def test_dynamic_shell_frequencies_are_omega_bitwise(self, shell):
         # the accumulator sums |p|^2 once; every sample's frequencies must
-        # still be omega's, bit for bit
+        # still be omega's, bit for bit.  The spatial points move on all
+        # three axes, so every site is its own group, and the grid equals
+        # the two-sided (T, N) rows, unfolded, to the bit
         rng = np.random.default_rng(30)
         lattice = MomentumLattice(5, 0.1)
-        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 20)
-        grid_spec = GridSpec.plane(3.0, 7, 3.0, 3, axis=1)
-        got = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=5), samples)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 40)
+        spatial = np.array([[0.0, 0.0, 0.0], [1.5, -0.5, 3.0], [-3.0, 2.0, 0.5]])
+        grid_spec = GridSpec(np.linspace(-3.0, 3.0, 7), spatial)
+        got = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=5), samples).result()
         momenta = lattice.site_momenta()
-        spatial_phase = np.exp(-1j * (momenta @ grid_spec.spatial.T))
+        spatial_phase = np.exp(-1j * (momenta @ spatial.T))
         rows = np.empty((grid_spec.times.size, lattice.site_count), dtype=complex)
         reference = BatchMeans(rows.shape, 5, complex, project=lambda mean: mean @ spatial_phase)
         for phi in samples:
             freqs = omega(momenta, effective_masses(shell, phi))
-            reference.add(_phase_rows(grid_spec.times, freqs, float(np.sum(phi)) * phi, rows))
-        np.testing.assert_array_equal(got.result().values, reference.mean().reshape(-1))
+            _phase_rows(0.0, 1.0, 3, 3, freqs, float(np.sum(phi)) * phi, rows.__setitem__)
+            reference.add(rows)
+        np.testing.assert_array_equal(got.values, reference.mean().reshape(-1))
+        for mine, want in zip((got.stderr_re, got.stderr_im), reference.stderr()):
+            np.testing.assert_array_equal(mine, want.reshape(-1))
 
     def test_grid_row_order_matches_points(self):
         rng = np.random.default_rng(26)
@@ -596,8 +631,8 @@ class TestCorrelator:
         assert grid.values.shape == (len(grid_spec.points()),)
 
     def test_batches_are_stored_as_time_by_space_grids(self):
-        # a (T, N) phased-field batch mean is projected onto the spatial
-        # points at flush, so each stored batch costs T * S, not T * N
+        # a batch mean of site or group sums is projected onto the grid at
+        # flush, so each stored batch costs T * S, not T * N
         rng = np.random.default_rng(27)
         lattice = MomentumLattice(3, 0.2)
         grid_spec = GridSpec.plane(2.0, 5, 2.0, 3, axis=1)
