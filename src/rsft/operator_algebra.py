@@ -12,7 +12,7 @@ with its amplitudes, and operators act on coordinate triples, so the
 identity checks cost O(d^2 dim) rather than dense dim^3 products.
 Identities that truncation breaks are asserted on the interior subspace
 (total occupation at most n_max - 1), where its artifacts vanish
-identically.
+identically; their products are applied to the interior columns alone.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ ALGEBRA_TOL = 1e-12
 ORACLE_NULLSPACE_TOL = 1e-10
 COORD_RESIDUAL_RTOL = 1e-8
 FOCK_DIMENSION_LIMIT = 20_000
-# The identity checks apply two ladder combinations to the identity, and each
-# application builds (d x entries) candidate arrays, so their memory grows
-# with d^2 * dim, which the dimension limit does not bound.  Peak RSS of
-# `fock-check` measured 88 MB at d = 60, n_max = 2 (d^2 dim = 6.8e6) and
-# 267 MB at d = 100, n_max = 2 (5.2e7), about 4 bytes per unit over a 60 MB
-# floor; this bound keeps n_max = 2 below about 0.45 GB.  Higher n_max costs
-# more per unit, but the dimension limit caps it: d = 47, n_max = 3
-# (dim 19 600) measured 592 MB.
+# The identity checks apply two ladder combinations to identity columns, and
+# each application builds (d x entries) candidate arrays, so their memory
+# grows with d^2 * dim, which the dimension limit does not bound.  Peak RSS
+# of `fock-check` measured 57 MB at d = 60, n_max = 2 (d^2 dim = 6.8e6),
+# 125 MB at d = 100 (5.2e7) and 174 MB at d = 117 (9.6e7), under 2 bytes per
+# unit over a 50 MB floor.  Higher n_max costs more per unit, but the
+# dimension limit caps it: d = 47, n_max = 3 (dim 19 600) measured 251 MB.
 FOCK_PRODUCT_LIMIT = 100_000_000
 
 
@@ -210,6 +209,18 @@ class HilbertContext:
         return coords
 
 
+def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each of `rows` among the rows of `table`.  Rows compare as
+    uint16 byte strings (occupations stay below the dimension limit), so no
+    integer key overflows at large d."""
+    keys, wanted = (
+        np.ascontiguousarray(a, np.uint16).view(np.dtype((np.void, 2 * a.shape[1])))[:, 0]
+        for a in (table, rows)
+    )
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys[order], wanted)]
+
+
 @dataclass(frozen=True)
 class FockRep:
     """Bosonic Fock space over a d-dimensional one-particle space, truncated
@@ -218,16 +229,18 @@ class FockRep:
     The occupation basis lists every multi-index (n_1 .. n_d) with total at
     most n_max in graded lexicographic order, so the vacuum (0, ..., 0) is
     the first basis vector and the dimension is C(d + n_max, d).  Each mode
-    ladder is stored as index maps, O(d * dim) numbers in all: `_raised[m, j]`
-    is the basis index of state j with one more quantum in mode m (-1 where
-    that leaves the truncation), and `_lowered[m]` is the inverse map.
+    ladder is stored as an index map with its amplitudes, O(d * dim) numbers
+    in all: `_maps[0, m, j]` is the basis index of state j with one more
+    quantum in mode m (-1 where that leaves the truncation), `_maps[1, m]`
+    is the inverse map, and `_amplitudes[:, m, j]` are sqrt(n_m + 1) and
+    sqrt(n_m) on state j, the amplitudes of those two steps.
     """
 
     d: int
     n_max: int
     occupations: np.ndarray
-    _raised: np.ndarray = field(repr=False)
-    _lowered: np.ndarray = field(repr=False)
+    _maps: np.ndarray = field(repr=False)
+    _amplitudes: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, d: int, n_max: int) -> "FockRep":
@@ -254,15 +267,15 @@ class FockRep:
         occupations = np.zeros((dim, d), dtype=int)
         rows = np.repeat(np.arange(dim), [len(modes) for modes in multisets])
         np.add.at(occupations, (rows, np.fromiter(chain.from_iterable(multisets), int)), 1)
-        index = {modes: pos for pos, modes in enumerate(multisets)}
-        raised = np.full((d, dim), -1)
-        for pos in range(math.comb(d + n_max - 1, d)):  # the states below total n_max
-            for mode in range(d):
-                raised[mode, pos] = index[tuple(sorted(multisets[pos] + (mode,)))]
-        lowered = np.full((d, dim), -1)
-        mode_of, source = np.nonzero(raised >= 0)
-        lowered[mode_of, raised[mode_of, source]] = source
-        return cls(d, n_max, occupations, raised, lowered)
+        below = math.comb(d + n_max - 1, d)  # the states below total n_max come first
+        up = np.tile(occupations[:below].astype(np.uint16), (d, 1))
+        up[np.arange(d * below), np.repeat(np.arange(d), below)] += 1
+        maps = np.full((2, d, dim), -1)
+        maps[0, :, :below] = _row_index(occupations, up).reshape(d, below)
+        mode, source = np.nonzero(maps[0] >= 0)
+        maps[1, mode, maps[0, mode, source]] = source
+        counts = np.ascontiguousarray(occupations.T)
+        return cls(d, n_max, occupations, maps, np.sqrt(np.stack((counts + 1.0, counts))))
 
     @property
     def dim(self) -> int:
@@ -298,9 +311,10 @@ class SparseOperand:
     values: np.ndarray
 
     @classmethod
-    def diagonal(cls, values: np.ndarray) -> "SparseOperand":
+    def diagonal(cls, values: np.ndarray, index: np.ndarray | None = None) -> "SparseOperand":
+        """Diagonal entries at the given basis indices, by default 0 .. n - 1."""
         values = np.asarray(values, dtype=complex)
-        index = np.arange(values.shape[0])
+        index = np.arange(values.shape[0]) if index is None else index
         return cls(index, index, values)
 
     @classmethod
@@ -317,11 +331,11 @@ class SparseOperand:
             np.concatenate([part.values for part in parts]),
         )
 
-    def __add__(self, other: "SparseOperand") -> "SparseOperand":
-        return SparseOperand.concatenate((self, other))
+    def __neg__(self) -> "SparseOperand":
+        return SparseOperand(self.rows, self.cols, -self.values)
 
     def __sub__(self, other: "SparseOperand") -> "SparseOperand":
-        return self + SparseOperand(other.rows, other.cols, -other.values)
+        return SparseOperand.concatenate((self, -other))
 
     def adjoint(self) -> "SparseOperand":
         return SparseOperand(self.cols, self.rows, self.values.conj())
@@ -336,12 +350,23 @@ class SparseOperand:
         """Largest |matrix element| once repeated entries are summed,
         over the (within, within) block when basis indices are given."""
         rows, cols, values = self.rows, self.cols, self.values
-        if within is not None:
-            inside = np.isin(rows, within) & np.isin(cols, within)
+        if within is not None and values.size:
+            mask = np.zeros(max(rows.max(), cols.max(), within.max(initial=0)) + 1, dtype=bool)
+            mask[within] = True
+            inside = np.flatnonzero(mask[rows] & mask[cols])
             rows, cols, values = rows[inside], cols[inside], values[inside]
         if values.size == 0:
             return 0.0
-        _, entry = np.unique(rows * (int(cols.max()) + 1) + cols, return_inverse=True)
+        # One sort of (row, col) key and entry position packed in an int64
+        # (keys < dim^2 < 2^29, positions < 2^31 under the Fock limits): a key's
+        # entries keep their order, so each sum adds as unsorted, bit for bit.
+        packed = (rows * (int(cols.max()) + 1) + cols) << 31
+        packed |= np.arange(values.size)
+        packed.sort()
+        position = packed & (2**31 - 1)
+        packed >>= 31
+        entry = np.concatenate(([0], np.cumsum(packed[1:] != packed[:-1])))
+        values = values.take(position)
         summed = np.bincount(entry, values.real) + 1j * np.bincount(entry, values.imag)
         return float(np.abs(summed).max())
 
@@ -358,20 +383,16 @@ class LadderOperator:
 
     def __call__(self, operand: SparseOperand) -> SparseOperand:
         rep = self.rep
-        return self._ladders(self.raising, rep._raised, operand, up=True) + self._ladders(
-            self.lowering, rep._lowered, operand, up=False
-        )
-
-    def _ladders(self, coeffs, targets, operand: SparseOperand, up: bool) -> SparseOperand:
-        modes = np.flatnonzero(coeffs)
-        target = targets[modes][:, operand.rows]
-        keep = target >= 0
-        # the amplitude sqrt(n_m + 1) of a ladder step belongs to its lower state
-        lower = operand.rows[None, :] if up else target
-        amplitude = np.sqrt(self.rep.occupations[lower, modes[:, None]] + 1.0)
-        values = coeffs[modes, None] * amplitude * operand.values
-        cols = np.broadcast_to(operand.cols, target.shape)
-        return SparseOperand(target[keep], cols[keep], values[keep])
+        coeffs = np.concatenate((self.raising, self.lowering))
+        # Flat (step, mode, source) positions in the (2, d, dim) tables of the
+        # nonzero coefficients, raising first; values only for kept entries.
+        at = (np.flatnonzero(coeffs)[:, None] * rep.dim + operand.rows).ravel()
+        target = rep._maps.take(at)
+        kept = np.flatnonzero(target >= 0)
+        entry = kept % operand.rows.size
+        scaled = coeffs[:, None] * rep._amplitudes.reshape(coeffs.size, rep.dim)
+        values = scaled.take(at.take(kept)) * operand.values.take(entry)
+        return SparseOperand(target.take(kept), operand.cols.take(entry), values)
 
 
 def _one_particle(v: np.ndarray, rep: FockRep) -> np.ndarray:
@@ -396,12 +417,8 @@ def annihilation_operator(v: np.ndarray, rep: FockRep) -> LadderOperator:
 def number_operator(rep: FockRep) -> SparseOperand:
     """Sum over modes of creation times annihilation, as sparse entries."""
     identity = SparseOperand.diagonal(np.ones(rep.dim))
-    return SparseOperand.concatenate(
-        [
-            creation_operator(unit, rep)(annihilation_operator(unit, rep)(identity))
-            for unit in np.eye(rep.d)
-        ]
-    )
+    pairs = [(creation_operator(e, rep), annihilation_operator(e, rep)) for e in np.eye(rep.d)]
+    return SparseOperand.concatenate([up(down(identity)) for up, down in pairs])
 
 
 def field_operator(obs: LinearObservable, context: HilbertContext, rep: FockRep) -> LadderOperator:
@@ -414,9 +431,17 @@ def field_operator(obs: LinearObservable, context: HilbertContext, rep: FockRep)
 
 
 def _commutator(
-    op_a: LadderOperator, op_b: LadderOperator, operand: SparseOperand
+    op_a: LadderOperator, op_b: LadderOperator, columns: np.ndarray, expected: complex | None = None
 ) -> SparseOperand:
-    return op_a(op_b(operand)) - op_b(op_a(operand))
+    """[op_a, op_b] - expected, as one list of entries, on the identity's
+    columns at the given basis indices.  From an interior column no path of
+    two ladder steps passes outside the truncation, so the result holds the
+    (interior, interior) block of the full product in the same order."""
+    identity = SparseOperand.diagonal(np.ones(columns.size), columns)
+    parts = [op_a(op_b(identity)), -op_b(op_a(identity))]
+    if expected is not None:
+        parts.append(SparseOperand.diagonal(np.full(columns.size, -expected), columns))
+    return SparseOperand.concatenate(parts)
 
 
 def commutator_check(
@@ -430,12 +455,8 @@ def commutator_check(
     interior = rep.interior_indices()
     op_a = field_operator(obs_a, context, rep)
     op_b = field_operator(obs_b, context, rep)
-    identity = SparseOperand.diagonal(np.ones(rep.dim))
     expected = 2j * np.imag(context.inner_product(obs_a, obs_b))
-    deviation = _commutator(op_a, op_b, identity) - SparseOperand.diagonal(
-        np.full(rep.dim, expected)
-    )
-    return deviation.max_abs(within=interior)
+    return _commutator(op_a, op_b, interior, expected).max_abs(within=interior)
 
 
 @dataclass(frozen=True)
@@ -595,54 +616,36 @@ def algebra_report(
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     interior = rep.interior_indices()
-    results: list[CheckResult] = []
-
     gram_matrix = context.gram.matrix
-    results.append(
-        CheckResult(
-            "gram_hermitian", float(np.abs(gram_matrix - gram_matrix.conj().T).max()), ALGEBRA_TOL
-        )
-    )
+    hermitian_dev = float(np.abs(gram_matrix - gram_matrix.conj().T).max())
     eigvals = np.linalg.eigvalsh(gram_matrix)
     psd_tol = ALGEBRA_TOL * max(eigvals[-1], 1.0)
-    results.append(CheckResult("gram_positive", max(0.0, -float(eigvals[0])), psd_tol))
-
+    results = [
+        CheckResult("gram_hermitian", hermitian_dev, ALGEBRA_TOL),
+        CheckResult("gram_positive", max(0.0, -float(eigvals[0])), psd_tol),
+    ]
     identity = SparseOperand.diagonal(np.ones(rep.dim))
     u = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
     w = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
     a_u, a_w = annihilation_operator(u, rep), annihilation_operator(w, rep)
     c_u, c_w = creation_operator(u, rep), creation_operator(w, rep)
-    results.append(
-        CheckResult("ccr_annihilation_pair", _commutator(a_u, a_w, identity).max_abs(), ALGEBRA_TOL)
-    )
-    results.append(
-        CheckResult("ccr_creation_pair", _commutator(c_u, c_w, identity).max_abs(), ALGEBRA_TOL)
-    )
-    mixed = _commutator(a_u, c_w, identity) - SparseOperand.diagonal(
-        np.full(rep.dim, complex(np.vdot(u, w)))
-    )
-    results.append(CheckResult("ccr_mixed", mixed.max_abs(within=interior), ALGEBRA_TOL))
+    full = np.arange(rep.dim)
+    mixed = _commutator(a_u, c_w, interior, complex(np.vdot(u, w)))
+    results += [
+        CheckResult("ccr_annihilation_pair", _commutator(a_u, a_w, full).max_abs(), ALGEBRA_TOL),
+        CheckResult("ccr_creation_pair", _commutator(c_u, c_w, full).max_abs(), ALGEBRA_TOL),
+        CheckResult("ccr_mixed", mixed.max_abs(within=interior), ALGEBRA_TOL),
+    ]
 
-    # Lowering ladder rebuilt from first principles: sqrt(n_i) on occupation i.
-    lowering_dev = 0.0
-    occupations = [tuple(occ) for occ in rep.occupations.tolist()]
-    index = {occ: pos for pos, occ in enumerate(occupations)}
-    for mode in range(rep.d):
-        rows, cols, values = [], [], []
-        for pos, occ in enumerate(occupations):
-            if occ[mode] > 0:
-                lowered = list(occ)
-                lowered[mode] -= 1
-                rows.append(index[tuple(lowered)])
-                cols.append(pos)
-                values.append(math.sqrt(occ[mode]))
-        direct = SparseOperand(
-            np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(values, dtype=complex)
-        )
-        basis_vec = np.zeros(rep.d)
-        basis_vec[mode] = 1.0
-        ladder = annihilation_operator(basis_vec, rep)(identity)
-        lowering_dev = max(lowering_dev, (ladder - direct).max_abs())
+    # Lowering ladders rebuilt from first principles, looked up in the
+    # occupations rather than the index maps: sqrt(n_m) from n to n - e_m.
+    # No two modes lower a state to the same one, so one sum checks them all.
+    source, mode = np.nonzero(rep.occupations)
+    lowered = rep.occupations.astype(np.uint16)[source]
+    lowered[np.arange(source.size), mode] -= 1
+    amplitude = np.sqrt(rep.occupations[source, mode]).astype(complex)
+    direct = SparseOperand(_row_index(rep.occupations, lowered), source, amplitude)
+    lowering_dev = (annihilation_operator(np.ones(rep.d), rep)(identity) - direct).max_abs()
     # Unit vectors keep the pairing O(1), so its round-off does not grow with dim.
     vec_f = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     vec_g = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
@@ -675,14 +678,10 @@ def algebra_report(
 
     op_a = field_operator(combo_a, context, rep)
     vacuum = rep.vacuum()
-    excited = op_a(op_a(SparseOperand.vector(vacuum))).to_vector(rep.dim)
+    # Applied to the vacuum's one nonzero entry: the zero ones add only signed zeros.
+    excited = op_a(op_a(SparseOperand.vector(vacuum[:1]))).to_vector(rep.dim)
     variance = complex(np.vdot(vacuum, excited))
     expected = context.inner_product(combo_a, combo_a)
-    results.append(
-        CheckResult(
-            "vacuum_field_variance",
-            abs(variance - expected),
-            ALGEBRA_TOL * max(1.0, abs(expected)),
-        )
-    )
+    variance_tol = ALGEBRA_TOL * max(1.0, abs(expected))
+    results.append(CheckResult("vacuum_field_variance", abs(variance - expected), variance_tol))
     return results

@@ -1,5 +1,7 @@
 import math
-from itertools import product
+import tracemalloc
+from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from rsft import operator_algebra
 from rsft.dynamics import run
 from rsft.lattice import MomentumLattice
 from rsft.operator_algebra import (
+    ALGEBRA_TOL,
     AlgebraError,
     FockRep,
     GaussianPacket,
@@ -245,11 +248,11 @@ class TestFockBasis:
         np.testing.assert_array_equal(rep.occupations[1:], np.fliplr(np.eye(40, dtype=int)))
 
     def test_stored_arrays_are_linear_in_dimension(self):
+        # the occupations, and the index maps and amplitudes of both steps
         rep = FockRep.build(4, 6)
         arrays = [value for value in vars(rep).values() if isinstance(value, np.ndarray)]
         assert len(arrays) == 3
-        for array in arrays:
-            assert array.size == rep.d * rep.dim
+        assert sorted(array.size for array in arrays) == [rep.d * rep.dim] + [2 * rep.d * rep.dim] * 2
 
 
 class TestFockLadders:
@@ -487,6 +490,300 @@ class TestFieldOperators:
         results = {r.name: r for r in algebra_report(oracle_context, rep, rng_seed=123)}
         assert not results["adjointness"].passed
         assert results["adjointness"].deviation > 1e6 * results["adjointness"].tolerance
+
+
+# Reference copies of the identity suite as it stood before the ladders read
+# stored amplitudes and the commutator checks used interior columns: the
+# loop-built index maps, the per-side ladders, the unique-key duplicate sum
+# and the report with its loop-built lowering ladders.  The package must
+# reproduce their maps and deviations bit for bit.
+
+
+class ReferenceRep:
+    def __init__(self, d, n_max):
+        dim = math.comb(d + n_max, d)
+        multisets = [
+            modes
+            for total in range(n_max + 1)
+            for modes in reversed(list(combinations_with_replacement(range(d), total)))
+        ]
+        occupations = np.zeros((dim, d), dtype=int)
+        rows = np.repeat(np.arange(dim), [len(modes) for modes in multisets])
+        np.add.at(occupations, (rows, np.fromiter(chain.from_iterable(multisets), int)), 1)
+        index = {modes: pos for pos, modes in enumerate(multisets)}
+        raised = np.full((d, dim), -1)
+        for pos in range(math.comb(d + n_max - 1, d)):  # the states below total n_max
+            for mode in range(d):
+                raised[mode, pos] = index[tuple(sorted(multisets[pos] + (mode,)))]
+        lowered = np.full((d, dim), -1)
+        mode_of, source = np.nonzero(raised >= 0)
+        lowered[mode_of, raised[mode_of, source]] = source
+        self.d, self.n_max, self.occupations = d, n_max, occupations
+        self._raised, self._lowered = raised, lowered
+
+    @property
+    def dim(self):
+        return self.occupations.shape[0]
+
+    def vacuum(self):
+        vec = np.zeros(self.dim, dtype=complex)
+        vec[0] = 1.0
+        return vec
+
+    def total_occupations(self):
+        return self.occupations.sum(axis=1)
+
+    def interior_indices(self):
+        return np.flatnonzero(self.total_occupations() <= self.n_max - 1)
+
+
+def reference_max_abs(operand, within=None):
+    rows, cols, values = operand.rows, operand.cols, operand.values
+    if within is not None:
+        inside = np.isin(rows, within) & np.isin(cols, within)
+        rows, cols, values = rows[inside], cols[inside], values[inside]
+    if values.size == 0:
+        return 0.0
+    _, entry = np.unique(rows * (int(cols.max()) + 1) + cols, return_inverse=True)
+    summed = np.bincount(entry, values.real) + 1j * np.bincount(entry, values.imag)
+    return float(np.abs(summed).max())
+
+
+@dataclass(frozen=True)
+class ReferenceLadder:
+    rep: ReferenceRep
+    raising: np.ndarray
+    lowering: np.ndarray
+
+    def __call__(self, operand):
+        rep = self.rep
+        return SparseOperand.concatenate(
+            (
+                self._ladders(self.raising, rep._raised, operand, up=True),
+                self._ladders(self.lowering, rep._lowered, operand, up=False),
+            )
+        )
+
+    def _ladders(self, coeffs, targets, operand, up):
+        modes = np.flatnonzero(coeffs)
+        target = targets[modes][:, operand.rows]
+        keep = target >= 0
+        # the amplitude sqrt(n_m + 1) of a ladder step belongs to its lower state
+        lower = operand.rows[None, :] if up else target
+        amplitude = np.sqrt(self.rep.occupations[lower, modes[:, None]] + 1.0)
+        values = coeffs[modes, None] * amplitude * operand.values
+        cols = np.broadcast_to(operand.cols, target.shape)
+        return SparseOperand(target[keep], cols[keep], values[keep])
+
+
+def reference_creation(v, rep):
+    v = np.asarray(v, dtype=complex)
+    return ReferenceLadder(rep, v, np.zeros_like(v))
+
+
+def reference_annihilation(v, rep):
+    v = np.asarray(v, dtype=complex)
+    return ReferenceLadder(rep, np.zeros_like(v), v.conj())
+
+
+def reference_field(obs, context, rep):
+    v = context.coords(obs)
+    return ReferenceLadder(rep, v, v.conj())
+
+
+def reference_commutator(op_a, op_b, operand):
+    return op_a(op_b(operand)) - op_b(op_a(operand))
+
+
+def reference_commutator_check(obs_a, obs_b, context, rep):
+    interior = rep.interior_indices()
+    op_a = reference_field(obs_a, context, rep)
+    op_b = reference_field(obs_b, context, rep)
+    identity = SparseOperand.diagonal(np.ones(rep.dim))
+    expected = 2j * np.imag(context.inner_product(obs_a, obs_b))
+    deviation = reference_commutator(op_a, op_b, identity) - SparseOperand.diagonal(
+        np.full(rep.dim, expected)
+    )
+    return reference_max_abs(deviation, within=interior)
+
+
+def reference_report(context, rep, rng_seed):
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    interior = rep.interior_indices()
+    results = []
+
+    gram_matrix = context.gram.matrix
+    results.append(
+        ("gram_hermitian", float(np.abs(gram_matrix - gram_matrix.conj().T).max()), ALGEBRA_TOL)
+    )
+    eigvals = np.linalg.eigvalsh(gram_matrix)
+    psd_tol = ALGEBRA_TOL * max(eigvals[-1], 1.0)
+    results.append(("gram_positive", max(0.0, -float(eigvals[0])), psd_tol))
+
+    identity = SparseOperand.diagonal(np.ones(rep.dim))
+    u = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
+    w = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
+    a_u, a_w = reference_annihilation(u, rep), reference_annihilation(w, rep)
+    c_u, c_w = reference_creation(u, rep), reference_creation(w, rep)
+    results.append(
+        (
+            "ccr_annihilation_pair",
+            reference_max_abs(reference_commutator(a_u, a_w, identity)),
+            ALGEBRA_TOL,
+        )
+    )
+    results.append(
+        ("ccr_creation_pair", reference_max_abs(reference_commutator(c_u, c_w, identity)), ALGEBRA_TOL)
+    )
+    mixed = reference_commutator(a_u, c_w, identity) - SparseOperand.diagonal(
+        np.full(rep.dim, complex(np.vdot(u, w)))
+    )
+    results.append(("ccr_mixed", reference_max_abs(mixed, within=interior), ALGEBRA_TOL))
+
+    # Lowering ladder rebuilt from first principles: sqrt(n_i) on occupation i.
+    lowering_dev = 0.0
+    occupations = [tuple(occ) for occ in rep.occupations.tolist()]
+    index = {occ: pos for pos, occ in enumerate(occupations)}
+    for mode in range(rep.d):
+        rows, cols, values = [], [], []
+        for pos, occ in enumerate(occupations):
+            if occ[mode] > 0:
+                lowered = list(occ)
+                lowered[mode] -= 1
+                rows.append(index[tuple(lowered)])
+                cols.append(pos)
+                values.append(math.sqrt(occ[mode]))
+        direct = SparseOperand(
+            np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(values, dtype=complex)
+        )
+        basis_vec = np.zeros(rep.d)
+        basis_vec[mode] = 1.0
+        ladder = reference_annihilation(basis_vec, rep)(identity)
+        lowering_dev = max(lowering_dev, reference_max_abs(ladder - direct))
+    vec_f = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    vec_g = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    vec_f /= np.linalg.norm(vec_f)
+    vec_g /= np.linalg.norm(vec_g)
+    raised_f = c_u(SparseOperand.vector(vec_f)).to_vector(rep.dim)
+    lowered_g = a_u(SparseOperand.vector(vec_g)).to_vector(rep.dim)
+    pairing_dev = abs(np.vdot(raised_f, vec_g) - np.vdot(vec_f, lowered_g))
+    results.append(("adjointness", max(lowering_dev, float(pairing_dev)), ALGEBRA_TOL))
+
+    counted = SparseOperand.concatenate(
+        [
+            reference_creation(unit, rep)(reference_annihilation(unit, rep)(identity))
+            for unit in np.eye(rep.d)
+        ]
+    ) - SparseOperand.diagonal(rep.total_occupations())
+    results.append(("number_operator", reference_max_abs(counted), ALGEBRA_TOL))
+
+    coeff_stack = np.stack([obs.coeffs for obs in context.observables], axis=1)
+    span_basis = coeff_stack @ context.transform
+    combo_real = LinearObservable(span_basis @ rng.normal(size=context.d))
+    op_real = reference_field(combo_real, context, rep)(identity)
+    results.append(
+        ("field_hermitian", reference_max_abs(op_real - op_real.adjoint()), ALGEBRA_TOL)
+    )
+
+    mix = rng.normal(size=(2, context.d)) + 1j * rng.normal(size=(2, context.d))
+    combo_a = LinearObservable(span_basis @ mix[0])
+    combo_b = LinearObservable(span_basis @ mix[1])
+    results.append(
+        (
+            "field_commutator",
+            reference_commutator_check(combo_a, combo_b, context, rep),
+            ALGEBRA_TOL,
+        )
+    )
+
+    op_a = reference_field(combo_a, context, rep)
+    vacuum = rep.vacuum()
+    excited = op_a(op_a(SparseOperand.vector(vacuum))).to_vector(rep.dim)
+    variance = complex(np.vdot(vacuum, excited))
+    expected = context.inner_product(combo_a, combo_a)
+    results.append(
+        ("vacuum_field_variance", abs(variance - expected), ALGEBRA_TOL * max(1.0, abs(expected)))
+    )
+    return results
+
+
+def random_context(d, seed):
+    """A context of d random observables on enough sites to keep all d."""
+    rng = np.random.default_rng(seed)
+    n = d + 9
+    cov = exact_covariance(COLLECTIVE, n, 1.0)
+    observables = [LinearObservable(rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(d)]
+    context = HilbertContext.from_covariance(observables, cov)
+    assert context.d == d
+    return context
+
+
+def bits(value):
+    return float(value).hex()
+
+
+REFERENCE_SHAPES = [(1, 1), (1, 6), (2, 3), (3, 5), (5, 8), (7, 2), (11, 3), (40, 1)]
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("d, n_max", REFERENCE_SHAPES)
+    def test_index_maps_equal_loop_built_maps(self, d, n_max):
+        rep, reference = FockRep.build(d, n_max), ReferenceRep(d, n_max)
+        np.testing.assert_array_equal(rep.occupations, reference.occupations)
+        np.testing.assert_array_equal(rep._maps[0], reference._raised)
+        np.testing.assert_array_equal(rep._maps[1], reference._lowered)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, n_max", REFERENCE_SHAPES)
+    def test_report_deviations_are_bitwise_the_reference(self, d, n_max, seed):
+        context = random_context(d, seed)
+        got = algebra_report(context, FockRep.build(d, n_max), rng_seed=seed)
+        want = reference_report(context, ReferenceRep(d, n_max), rng_seed=seed)
+        assert [r.name for r in got] == [name for name, _, _ in want]
+        for result, (name, deviation, tolerance) in zip(got, want):
+            assert result.tolerance == tolerance, name
+            if (d, n_max, name) == (1, 1, "ccr_mixed") and bits(result.deviation) != bits(deviation):
+                # The reference multiplied the lone entry of a_u c_w |0> as a
+                # (1, 1) by (1,) broadcast, which numpy evaluates without a
+                # fused multiply-add, unlike every larger product; the interior
+                # column gives a one-entry 1-D product, which it fuses.  The
+                # two may differ by one rounding of conj(u) w.
+                u_re, u_im, w_re, w_im = np.random.Generator(np.random.PCG64(seed)).normal(size=4)
+                product_size = abs(complex(u_re, -u_im) * complex(w_re, w_im))
+                assert abs(result.deviation - deviation) <= 2 * np.finfo(float).eps * product_size
+                continue
+            assert bits(result.deviation) == bits(deviation), name
+
+
+class TestInteriorColumns:
+    @pytest.mark.parametrize("d, n_max", [(2, 1), (3, 4), (11, 3)])
+    def test_field_commutator_on_interior_columns_is_the_interior_block(self, d, n_max):
+        context = random_context(d, 5)
+        rep = FockRep.build(d, n_max)
+        op_a, op_b = (field_operator(obs, context, rep) for obs in context.observables[:2])
+        interior = rep.interior_indices()
+        full = operator_algebra._commutator(op_a, op_b, np.arange(rep.dim))
+        block = np.isin(full.rows, interior) & np.isin(full.cols, interior)
+        part = operator_algebra._commutator(op_a, op_b, interior)
+        inside = np.isin(part.rows, interior)
+        np.testing.assert_array_equal(part.rows[inside], full.rows[block])
+        np.testing.assert_array_equal(part.cols[inside], full.cols[block])
+        np.testing.assert_array_equal(part.values[inside].view(float), full.values[block].view(float))
+
+    def test_commutator_check_memory_follows_the_interior(self):
+        # Applied to all 364 columns of the identity, the products and the
+        # duplicate sum peaked at 2.0 MB; on the 78 interior columns, 1.0 MB.
+        context = random_context(11, 5)
+        rep = FockRep.build(11, 3)
+        obs_a, obs_b = context.observables[:2]
+        commutator_check(obs_a, obs_b, context, rep)
+        tracemalloc.start()
+        try:
+            commutator_check(obs_a, obs_b, context, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestMicrocausality:
