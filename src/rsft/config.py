@@ -14,7 +14,7 @@ from typing import Any
 
 from .action import BathParams, MatterActionKind
 from .dynamics import IntegratorParams
-from .estimators import GridSpec, default_batch_len
+from .estimators import MAX_COVARIANCE_SITES, MAX_MGF_EPSILON, GridSpec, default_batch_len
 from .lattice import (
     FixedShell,
     GlobalDynamicShell,
@@ -267,16 +267,16 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         fail("grid.x_points", "must be at least 1")
     if cfg.grid_axis not in (1, 2, 3):
         fail("grid.axis", "must be 1, 2 or 3")
-    if cfg.covariance_n_sites < 1 or cfg.covariance_n_sites > 64:
-        fail("covariance.n_sites", "must be between 1 and 64")
+    if cfg.covariance_n_sites < 1 or cfg.covariance_n_sites > MAX_COVARIANCE_SITES:
+        fail("covariance.n_sites", f"must be between 1 and {MAX_COVARIANCE_SITES}")
     n = cfg.site_count
     if cfg.covariance_n_sites > n:
         fail("covariance.n_sites", f"{cfg.covariance_n_sites} exceeds the lattice of {n} sites")
     for p, q in cfg.mgf_pairs:
         if not (0 <= p < n and 0 <= q < n):
             fail("mgf.pairs", f"site pair ({p},{q}) outside the lattice of {n} sites")
-    if not 0 < cfg.mgf_epsilon <= 0.1:
-        fail("mgf.epsilon", "must be in (0, 0.1]")
+    if not 0 < cfg.mgf_epsilon <= MAX_MGF_EPSILON:
+        fail("mgf.epsilon", f"must be in (0, {MAX_MGF_EPSILON}]")
     if not cfg.micro_sigma_p > 0:
         fail("micro.sigma_p", "must be positive")
     if not cfg.micro_separation > 0:

@@ -11,9 +11,12 @@ exist.
 
 A snapshot is a field array or a trajectory state.  A state that carries
 the basis Q of its trajectory's subspace (phi = Q x, at most three
-coordinates) lets the variance, covariance, MGF and fixed-shell correlator
-accumulators skip the field: they buffer x and sum a block of samples in
-coordinate form, mapped to sites through Q once per batch (`_SampleStream`).
+coordinates) is buffered as x, and a block of buffered samples is summed
+at once into the same site-form batch sums that fields feed
+(`_SampleStream`).  The variance, covariance, MGF and fixed-shell
+correlator accumulators sum a block on its coordinates and map the sum to
+sites through Q, so they never build a field; a dynamic-shell correlator
+takes blocks of one state and lifts each to its field.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ExtendedState
+from .dynamics import ExtendedState, _lift
 from .lattice import MomentumLattice, MassShell, FixedShell, effective_masses, omega
 
 MIN_BATCHES = 8
 MAX_COVARIANCE_SITES = 64
-DEFAULT_MGF_EPSILON = 0.1
+MAX_MGF_EPSILON = 0.1
 # log of the largest float: the exponential of anything below it is finite
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
 # coordinate samples an accumulator holds before it sums them into its batch
@@ -91,15 +94,6 @@ class BatchMeans:
         """Samples the open batch takes before it closes."""
         return self.batch_len - self._batch_count
 
-    def rebase(self, lift: Callable[[np.ndarray], np.ndarray], project=None) -> None:
-        """Carry the running and open-batch totals through the linear map
-        lift, and project later batch means with `project`; the batch means
-        already stored stay.  A BatchMeans of sums in another form, whose
-        projection was project after lift, so continues in lift's form."""
-        self.total = lift(self.total)
-        self._batch_total = lift(self._batch_total)
-        self._project = project
-
     def _count_samples(self, n: int) -> None:
         if not 0 < n <= self.room:
             raise ValueError(f"{n} samples do not fit the open batch")
@@ -139,94 +133,52 @@ class _SampleStream:
     or a state.
 
     An array, or a state without coordinates (`ExtendedState.coordinates`),
-    is a site sample, passed to `_add_site(phi)` as the (N,) field.  The
-    first sample, if it is a state with coordinates, binds an accumulator
-    that takes the coordinate path to its basis: `_bind(basis)` sets up
-    batch sums in coordinate form and returns the BatchMeans whose open
-    batch the buffer must not overrun.  After that `add` only appends the
-    sample's coordinates to a buffer, which `_add_coordinates` sums, given
-    the (b, k) coordinates, into the open batch when it holds
-    COORDINATE_BUFFER_LEN samples, when the batch closes and before a
-    result is read.  A sample in another basis, or a site sample, ends the
-    coordinate path for good: the buffer is summed, `_to_site` converts the
-    totals to site form, and the sample goes to `_add_site`.
+    is a site sample, passed to `_add_site(phi)` as the (N,) field.  A state
+    with coordinates only appends x to a buffer.  `_add_block(basis,
+    coords)` adds the site-form sum of the buffered (b, k) coordinates to
+    the open batch when the buffer holds `_block_len` samples or fills the
+    open batch of `batches` (an accumulator's batch sums all close
+    together), when a sample in another basis object or a site sample
+    comes, and before a result is read.  So every batch holds
+    site-form sums, and samples of both kinds mix in any order.  The
+    default `_add_block` lifts each row to its field, bitwise the state's
+    phi, and adds it as a site sample.
     """
 
-    def __init__(self, coordinate_path: bool = True):
-        self._site_only = not coordinate_path
+    # samples a block takes at most
+    _block_len = COORDINATE_BUFFER_LEN
+
+    def __init__(self, batches: BatchMeans):
+        self._batches = batches
         self._basis: np.ndarray | None = None
         self._buffer: list[tuple[float, float, float]] = []
-        self._room = 0
-        self._lead: BatchMeans | None = None
 
     def add(self, sample) -> None:
-        if not isinstance(sample, ExtendedState):
-            phi = sample
-        else:
-            if not self._site_only:
-                coords = sample.coordinates()
-                if coords is not None and (coords[0] is self._basis or self._bound_to(coords[0])):
-                    buffer = self._buffer
-                    buffer.append(coords[1])
-                    if len(buffer) == self._room:
-                        self._sum_buffer()
-                    return
-            phi = sample.phi
-        if not self._site_only:
-            self._leave_coordinates()
-        self._add_site(phi)
-
-    def _bound_to(self, basis: np.ndarray) -> bool:
-        """Whether samples in basis take the coordinate path; the first one
-        binds the accumulator, which has no samples yet."""
-        if self._basis is None:
-            self._lead = self._bind(basis)
-            self._room = min(COORDINATE_BUFFER_LEN, self._lead.room)
-        elif not np.array_equal(basis, self._basis):
-            return False
-        self._basis = basis
-        return True
+        coords = sample.coordinates() if isinstance(sample, ExtendedState) else None
+        if coords is None:
+            self._sum_buffer()
+            self._add_site(sample.phi if isinstance(sample, ExtendedState) else sample)
+            return
+        if coords[0] is not self._basis:
+            self._sum_buffer()
+            self._basis = coords[0]
+        buffer = self._buffer
+        if not buffer:  # a block starts after every sum and site sample
+            self._room = min(self._block_len, self._batches.room)
+        buffer.append(coords[1])
+        if len(buffer) == self._room:
+            self._sum_buffer()
 
     def _sum_buffer(self) -> None:
         if self._buffer:
-            coords = np.array(self._buffer)[:, : self._basis.shape[0]]
+            basis = self._basis
+            coords = np.array(self._buffer)[:, : basis.shape[0]]
             self._buffer.clear()
-            self._add_coordinates(coords)
-            self._room = min(COORDINATE_BUFFER_LEN, self._lead.room)
+            self._add_block(basis, coords)
 
-    def _leave_coordinates(self) -> None:
-        if self._basis is not None:
-            self._sum_buffer()
-            self._to_site()
-            self._basis = None
-        self._site_only = True
-
-
-class _FieldMoments(_SampleStream):
-    """Batch sums of field values and of their products, from which the
-    variance and covariance accumulators take means.  On the coordinate
-    path a batch sums X^T X and the column sums of X, which the subclass
-    maps to its sites (`_products_on_sites`, `_values_on_sites`)."""
-
-    def __init__(self, products_shape: tuple, values_shape: tuple, batch_len: int):
-        super().__init__()
-        self._products = BatchMeans(products_shape, batch_len)
-        self._values = BatchMeans(values_shape, batch_len)
-
-    def _bind(self, basis: np.ndarray) -> BatchMeans:
-        k, batch_len = basis.shape[0], self._products.batch_len
-        self._products = BatchMeans((k, k), batch_len, project=self._products_on_sites)
-        self._values = BatchMeans((k,), batch_len, project=self._values_on_sites)
-        return self._products
-
-    def _add_coordinates(self, coords: np.ndarray) -> None:
-        n = coords.shape[0]
-        self._products.add(coords.T @ coords, n)
-        self._values.add(coords.sum(axis=0), n)
-
-    def _to_site(self) -> None:
-        self._products.rebase(self._products_on_sites)
-        self._values.rebase(self._values_on_sites)
+    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
+        for x in coords:
+            self._add_site(_lift(basis, x))
 
 
 @dataclass
@@ -240,7 +192,7 @@ class CovarianceResult:
     n_samples: int
 
 
-class CovarianceAccumulator(_FieldMoments):
+class CovarianceAccumulator(_SampleStream):
     """Covariance of field values over a bounded site subset.
 
     Entries are trajectory averages of phi(p) phi(q) minus the product of
@@ -255,22 +207,22 @@ class CovarianceAccumulator(_FieldMoments):
         if len(sites) > MAX_COVARIANCE_SITES:
             raise ValueError(f"site subset limited to {MAX_COVARIANCE_SITES} sites")
         self.sites = sites
-        k = len(sites)
         self._index = np.asarray(sites, dtype=int)
-        super().__init__((k, k), (k,), batch_len)
+        self._products = BatchMeans((len(sites), len(sites)), batch_len)
+        self._values = BatchMeans((len(sites),), batch_len)
+        super().__init__(self._products)
 
     def _add_site(self, phi: np.ndarray) -> None:
         sub = phi[self._index]
         self._products.add(np.outer(sub, sub))
         self._values.add(sub)
 
-    def _products_on_sites(self, moments: np.ndarray) -> np.ndarray:
-        q = self._basis[:, self._index]
-        block = q.T @ (moments @ q)
-        return 0.5 * (block + block.T)  # symmetric to the bit, as np.outer is
-
-    def _values_on_sites(self, sums: np.ndarray) -> np.ndarray:
-        return sums @ self._basis[:, self._index]
+    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
+        q = basis[:, self._index]
+        block = q.T @ ((coords.T @ coords) @ q)
+        # symmetric to the bit, as np.outer is
+        self._products.add(0.5 * (block + block.T), coords.shape[0])
+        self._values.add(coords.sum(axis=0) @ q, coords.shape[0])
 
     def result(self) -> CovarianceResult:
         self._sum_buffer()
@@ -282,22 +234,22 @@ class CovarianceAccumulator(_FieldMoments):
         )
 
 
-class VarianceAccumulator(_FieldMoments):
+class VarianceAccumulator(_SampleStream):
     """Per-site variance of the field over all lattice sites at once."""
 
     def __init__(self, n_sites: int, batch_len: int):
-        super().__init__((n_sites,), (n_sites,), batch_len)
+        self._products = BatchMeans((n_sites,), batch_len)
+        self._values = BatchMeans((n_sites,), batch_len)
+        super().__init__(self._products)
 
     def _add_site(self, phi: np.ndarray) -> None:
         self._products.add(phi * phi)
         self._values.add(phi)
 
-    def _products_on_sites(self, moments: np.ndarray) -> np.ndarray:
-        q = self._basis
-        return ((moments @ q) * q).sum(axis=0)
-
-    def _values_on_sites(self, sums: np.ndarray) -> np.ndarray:
-        return sums @ self._basis
+    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
+        squares = ((coords.T @ coords) @ basis) * basis
+        self._products.add(squares.sum(axis=0), coords.shape[0])
+        self._values.add(coords.sum(axis=0) @ basis, coords.shape[0])
 
     def result(self) -> tuple[np.ndarray, np.ndarray | None, int]:
         """(variances, stderr of the square averages or None, sample count)."""
@@ -316,15 +268,14 @@ class MgfAccumulator(_SampleStream):
     two patterns +eps, -eps suffice because ln Z(0) = 0 identically.
     Each batch mean of the exponential moments is projected straight onto
     its finite difference, so the error bar is that of the estimate itself.
-    On the coordinate path the field at the probed sites is X times their
-    columns of Q, and a block's exponentials are summed before they enter
-    the batch.
+    For a block of coordinates X the field at the probed sites is X times
+    their columns of Q, and the block's exponentials are summed before they
+    enter the batch.
     """
 
     def __init__(self, site_p: int, site_q: int, eps: float, batch_len: int):
-        super().__init__()
-        if not 0 < eps <= DEFAULT_MGF_EPSILON:
-            raise ValueError(f"eps must be in (0, {DEFAULT_MGF_EPSILON}]")
+        if not 0 < eps <= MAX_MGF_EPSILON:
+            raise ValueError(f"eps must be in (0, {MAX_MGF_EPSILON}]")
         self.site_p = int(site_p)
         self.site_q = int(site_q)
         self.eps = float(eps)
@@ -340,20 +291,15 @@ class MgfAccumulator(_SampleStream):
         self._moments = BatchMeans(
             (len(self._signs),), batch_len, project=self._finite_difference
         )
+        super().__init__(self._moments)
 
     def _add_site(self, phi: np.ndarray) -> None:
         self._moments.add(self._exponentials(self.eps * self._signs.dot(phi[self._sites])))
 
-    def _bind(self, basis: np.ndarray) -> BatchMeans:
-        return self._moments
-
-    def _add_coordinates(self, coords: np.ndarray) -> None:
-        fields = coords @ self._basis[:, self._sites]
+    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
+        fields = coords @ basis[:, self._sites]
         exponentials = self._exponentials(self.eps * fields.dot(self._signs.T))
         self._moments.add(exponentials.sum(axis=0), coords.shape[0])
-
-    def _to_site(self) -> None:
-        pass  # the moments are sums of exponentials on either path
 
     @staticmethod
     def _exponentials(exponents: np.ndarray) -> np.ndarray:
@@ -503,12 +449,12 @@ class CorrelatorAccumulator(_SampleStream):
     the projection unfolds the mean; otherwise R = T.
 
     On a fixed shell the time phases are constant: only the (N,) vector
-    A * phi is accumulated (on the coordinate path, Q c with
-    c_j = sqrt(N) x_0 x_j, since the first row of Q is 1/sqrt(N), and a
-    batch sums c), and a batch mean is phased by the (R, N) time rows and
-    summed over the groups.  A dynamic shell re-evaluates omega_p from the
-    snapshot's field, so each sample forms its R rows in an (N,) buffer and
-    sums each over the groups, O(R N) work in O(N + R G) memory.
+    A * phi is accumulated (a block of coordinates adds (sum_b c_b) Q, with
+    c_j = sqrt(N) x_0 x_j since the first row of Q is 1/sqrt(N)), and a
+    batch mean is phased by the (R, N) time rows and summed over the groups.
+    A dynamic shell re-evaluates omega_p from the snapshot's field, so each
+    sample forms its R rows in an (N,) buffer and sums each over the groups,
+    O(R N) work in O(N + R G) memory.
     """
 
     def __init__(
@@ -518,7 +464,6 @@ class CorrelatorAccumulator(_SampleStream):
         shell: MassShell,
         batch_len: int,
     ):
-        super().__init__(coordinate_path=isinstance(shell, FixedShell))
         self.grid = grid
         self.shell = shell
         momenta = lattice.site_momenta()
@@ -551,15 +496,23 @@ class CorrelatorAccumulator(_SampleStream):
             time_rows = np.empty((n_rows, momenta.shape[0]), dtype=complex)
             freqs = omega(members, shell.mass)
             _phase_rows(*self._span, freqs, 1.0, time_rows.__setitem__)
-            self._project = lambda mean: self._on_grid(
-                np.add.reduceat(time_rows * mean[self._order], self._starts, axis=1)
-            )
             self._root_n = float(np.sqrt(lattice.site_count))
-            self._sums = BatchMeans((lattice.site_count,), batch_len, project=self._project)
+            self._sums = BatchMeans(
+                (lattice.site_count,),
+                batch_len,
+                project=lambda mean: self._on_grid(
+                    np.add.reduceat(time_rows * mean[self._order], self._starts, axis=1)
+                ),
+            )
         else:
+            # A dynamic shell lifts and sums each row alone, so a block gains
+            # nothing: at 25^3 a burst of 10 rows took about three times the
+            # minor page faults of rows taken as they come (glibc malloc).
+            self._block_len = 1
             self._sums = BatchMeans(
                 (n_rows, self._starts.size), batch_len, complex, project=self._on_grid
             )
+        super().__init__(self._sums)
 
     def _on_grid(self, rows: np.ndarray) -> np.ndarray:
         """(T, S) grid of (R, G) group sums of time-phased rows."""
@@ -573,8 +526,10 @@ class CorrelatorAccumulator(_SampleStream):
         if isinstance(self.shell, FixedShell):
             self._sums.add(weighted)
             return
-        masses = effective_masses(self.shell, phi)
-        freqs = np.sqrt(self._p_squared + masses * masses)[self._order]
+        # the frequencies replace the masses, so a local shell's (N,) masses
+        # are freed before the rows are formed
+        freqs = effective_masses(self.shell, phi)
+        freqs = np.sqrt(self._p_squared + freqs * freqs)[self._order]
         sample = np.empty(self._sums.total.shape, dtype=complex)
         starts = self._starts
 
@@ -584,22 +539,12 @@ class CorrelatorAccumulator(_SampleStream):
         _phase_rows(*self._span, freqs, weighted[self._order], put)
         self._sums.add(sample)
 
-    def _sums_on_sites(self, sums: np.ndarray) -> np.ndarray:
-        return sums @ self._basis
-
-    def _bind(self, basis: np.ndarray) -> BatchMeans:
-        self._sums = BatchMeans(
-            (basis.shape[0],),
-            self._sums.batch_len,
-            project=lambda mean: self._project(self._sums_on_sites(mean)),
-        )
-        return self._sums
-
-    def _add_coordinates(self, coords: np.ndarray) -> None:
-        self._sums.add(self._root_n * (coords[:, 0] @ coords), coords.shape[0])
-
-    def _to_site(self) -> None:
-        self._sums.rebase(self._sums_on_sites, self._project)
+    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
+        if not isinstance(self.shell, FixedShell):
+            super()._add_block(basis, coords)
+            return
+        weights = self._root_n * (coords[:, 0] @ coords)
+        self._sums.add(weights @ basis, coords.shape[0])
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
         self._sum_buffer()

@@ -349,24 +349,29 @@ class SparseOperand:
     def max_abs(self, within: np.ndarray | None = None) -> float:
         """Largest |matrix element| once repeated entries are summed,
         over the (within, within) block when basis indices are given."""
-        rows, cols, values = self.rows, self.cols, self.values
-        if within is not None and values.size:
+        rows, cols = self.rows, self.cols
+        position = np.arange(rows.size)
+        if within is not None and rows.size:
             mask = np.zeros(max(rows.max(), cols.max(), within.max(initial=0)) + 1, dtype=bool)
             mask[within] = True
-            inside = np.flatnonzero(mask[rows] & mask[cols])
-            rows, cols, values = rows[inside], cols[inside], values[inside]
-        if values.size == 0:
+            position = np.flatnonzero(mask[rows] & mask[cols])
+            rows, cols = rows.take(position), cols.take(position)
+        if position.size == 0:
             return 0.0
-        # One sort of (row, col) key and entry position packed in an int64
-        # (keys < dim^2 < 2^29, positions < 2^31 under the Fock limits): a key's
-        # entries keep their order, so each sum adds as unsorted, bit for bit.
-        packed = (rows * (int(cols.max()) + 1) + cols) << 31
-        packed |= np.arange(values.size)
+        # One sort of (row, col) key and original entry position packed in an
+        # int64 (keys < dim^2 < 2^29, positions < 2^31 under the Fock limits):
+        # a key's entries keep their order, so each sum adds as unsorted, bit
+        # for bit, and the values are gathered once, in sorted order.
+        packed = rows * (int(cols.max()) + 1)
+        packed += cols
+        del rows, cols
+        packed <<= 31
+        packed |= position
         packed.sort()
-        position = packed & (2**31 - 1)
+        np.bitwise_and(packed, 2**31 - 1, out=position)
         packed >>= 31
         entry = np.concatenate(([0], np.cumsum(packed[1:] != packed[:-1])))
-        values = values.take(position)
+        values = self.values.take(position)
         summed = np.bincount(entry, values.real) + 1j * np.bincount(entry, values.imag)
         return float(np.abs(summed).max())
 

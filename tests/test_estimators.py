@@ -695,14 +695,16 @@ def assert_paths_agree(coordinate, site, rtol=1e-10):
             assert np.abs(np.asarray(value) - target).max() <= rtol * scale
 
 
-def sampler(coordinate, site, stride=10, site_arrays=False):
-    """Observer feeding the live state to `coordinate` (its field when
-    site_arrays) and the field to `site` at every stride-th step."""
+def sampler(coordinate, site, stride=10, field_every=0):
+    """Observer feeding, at every stride-th step, the field to `site` and
+    the live state to `coordinate`, or instead its field at every
+    field_every-th sample when field_every is set."""
 
     def observe(live):
         if live.step_count % stride == 0:
+            as_field = field_every and (live.step_count // stride) % field_every == 0
             for acc in coordinate:
-                acc.add(live.phi if site_arrays else live)
+                acc.add(live.phi if as_field else live)
             for acc in site:
                 acc.add(live.phi)
 
@@ -729,7 +731,7 @@ class TestCoordinatePath:
         assert all(acc._basis is not None for acc in coordinate)
         assert_paths_agree(coordinate, site)
 
-    @pytest.mark.parametrize("then", ["other_basis", "arrays"])
+    @pytest.mark.parametrize("then", ["other_basis", "arrays", "interleaved"])
     def test_second_basis_or_an_array_continues_on_site_path(self, then):
         lattice, params, state = trajectory(9, COLLECTIVE, seed=3)
         coordinate = coordinate_path_accumulators(lattice, batch_len=7)
@@ -740,9 +742,21 @@ class TestCoordinatePath:
             _, _, other = trajectory(9, COLLECTIVE, seed=4)
             run(other, params, 500, [sampler(coordinate, site)], every=10)
         else:
-            run(state, params, 500, [sampler(coordinate, site, site_arrays=True)], every=10)
-        assert all(acc._basis is None and acc._site_only for acc in coordinate)
+            # every sample a field, or every third one between states
+            field_every = 1 if then == "arrays" else 3
+            run(state, params, 500, [sampler(coordinate, site, field_every=field_every)], every=10)
         assert_paths_agree(coordinate, site)
+
+    @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
+    def test_dynamic_shell_fed_states_has_the_bits_of_fed_fields(self, shell):
+        lattice, params, state = trajectory(9, COLLECTIVE, seed=3)
+        grid = GridSpec.plane(2.0, 5, 2.0, 4, axis=1)
+        states, fields = (CorrelatorAccumulator(grid, lattice, shell, 7) for _ in range(2))
+        run(state, params, 600, [sampler([states], [fields])], every=10)
+        (got, got_count), (want, want_count) = reported(states), reported(fields)
+        assert got_count == want_count == 60
+        for value, target in zip(got, want):
+            assert np.array_equal(value, target)
 
     def test_coordinate_path_builds_no_field(self, monkeypatch):
         lattice, params, state = trajectory(9, FREE, seed=5)
