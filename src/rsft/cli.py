@@ -182,9 +182,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_resume(cfg: RunConfig, checkpoint_path: str) -> int:
     state, rng = storage.read_checkpoint(checkpoint_path, expect=_checkpoint_physics(cfg))
-    if state.phi.shape[0] != cfg.site_count:
+    if state.basis.shape[1] != cfg.site_count:
         return _fail(
-            f"checkpoint holds {state.phi.shape[0]} sites but the config "
+            f"checkpoint holds {state.basis.shape[1]} sites but the config "
             f"defines {cfg.site_count}"
         )
     remaining = cfg.total_steps - state.step_count

@@ -28,24 +28,25 @@ subspace: with an orthonormal basis Q (N x k, k <= 3, first column
 which M = diag(1 + cN, 1, 1).  The step is the leapfrog of `_advance` in a
 few scalar operations for any N; it evaluates the matter action and its
 gradient once each, at its end, and they are the next step's start values.
-The state carries Q, x and y (`ExtendedState.subspace`), so a trajectory
-split into several runs, or resumed from a checkpoint, steps bitwise as the
-unbroken one does; a state whose carried basis does not reproduce its
-arrays bitwise gets a basis derived anew.
+A state is held that way (`ExtendedState`): its basis Q^T and the
+coordinates x and y, with phi = Q x and pi_phi = Q y lifted only when read.
+`ExtendedState.from_arrays` derives the basis of given arrays once; a
+trajectory split into several runs, or resumed from a checkpoint, keeps its
+basis and coordinates and so steps bitwise as the unbroken one does.
 
 `run` is the one loop over that step.  Everything that reads a trajectory
 (the conservation log, periodic checkpoints, every sampled estimator) is an
 observer it calls after every `every`-th step, so a trajectory average is a
 streaming accumulator fed each thinned snapshot; the steps in between run in
-one call of the step function.  Observers read phi and pi_phi, rebuilt as
-Q x and Q y only when first read after a step, or the coordinates x in the
-basis Q directly (`ExtendedState.coordinates`).
+one call of the step function.  Observers read phi and pi_phi, each lifted
+at most once per stretch, or the basis and the coordinates x directly.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,36 +90,9 @@ def _lift(basis: np.ndarray, coords) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A state in the invariant subspace of its trajectory.
-
-    `basis` is Q^T: k <= 3 orthonormal rows of length N, the first one
-    1/sqrt(N).  x and y are the field and momentum coordinates, so the
-    state's phi is Q x and its pi_phi is Q y.  All three are read-only.
-    """
-
-    basis: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("basis", "x", "y"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    def reproduces(self, phi: np.ndarray, pi_phi: np.ndarray) -> bool:
-        """Whether Q x and Q y are bitwise phi and pi_phi."""
-        return (
-            self.basis.shape[1:] == phi.shape == pi_phi.shape
-            and np.array_equal(_lift(self.basis, self.x), phi)
-            and np.array_equal(_lift(self.basis, self.y), pi_phi)
-        )
-
-
-def _derive_subspace(phi: np.ndarray, pi_phi: np.ndarray) -> Subspace:
-    """Orthonormal basis of span{1/sqrt(N), phi_perp, pi_perp} by classical
-    Gram-Schmidt, each direction orthogonalised twice, and the coordinates
-    of phi and pi_phi in it."""
+def _derive_basis(phi: np.ndarray, pi_phi: np.ndarray) -> np.ndarray:
+    """Q^T for span{1/sqrt(N), phi_perp, pi_perp}: orthonormal rows by
+    classical Gram-Schmidt, each direction orthogonalised twice."""
     n = phi.shape[0]
     rows = [np.full(n, 1.0 / math.sqrt(n))]
     for v in (phi, pi_phi):
@@ -129,82 +103,62 @@ def _derive_subspace(phi: np.ndarray, pi_phi: np.ndarray) -> Subspace:
         norm = math.sqrt(float(w @ w))
         if norm > SUBSPACE_RANK_TOLERANCE * math.sqrt(float(v @ v)):
             rows.append(w / norm)
-    basis = np.array(rows)
-    return Subspace(basis, basis @ phi, basis @ pi_phi)
+    return np.array(rows)
 
 
-@dataclass
+def _padded(coords) -> tuple[float, float, float]:
+    return tuple(float(v) for v in coords) + (0.0,) * (3 - len(coords))
+
+
 class ExtendedState:
     """Point of the variational phase space plus bookkeeping.
 
-    s0 is the extended action recorded once at initialization; step_count
-    times the step size gives the flow parameter lambda.  `subspace`, when
-    set, holds the basis and coordinates the state was stepped in (see
-    `run`); `copy` keeps it.
+    The field and its momentum are held in the invariant subspace of their
+    trajectory (see the module docstring): `basis` is Q^T, k <= 3
+    orthonormal rows of length N, the first one 1/sqrt(N), and x and y are
+    the coordinates of phi and pi_phi in it, three floats each, those past
+    k zero.  s0 is the extended action recorded once at initialization;
+    step_count times the step size gives the flow parameter lambda.
+
+    phi and pi_phi are read-only arrays.  Each is the array given to the
+    constructor, if any, until `forget` is called after a step; otherwise
+    it is Q x or Q y, lifted when first read and kept until `forget`.
     """
 
-    phi: np.ndarray
-    pi_phi: np.ndarray
-    s: float
-    pi_s: float
-    s0: float
-    step_count: int = 0
-    subspace: Subspace | None = None
+    def __init__(
+        self,
+        basis: np.ndarray,
+        x,
+        y,
+        s: float,
+        pi_s: float,
+        s0: float,
+        step_count: int = 0,
+        phi: np.ndarray | None = None,
+        pi_phi: np.ndarray | None = None,
+    ):
+        self.basis = _readonly(basis)
+        self.x, self.y = _padded(x), _padded(y)
+        self.s, self.pi_s, self.s0 = s, pi_s, s0
+        self.step_count = step_count
+        self._phi = None if phi is None else _readonly(phi)
+        self._pi_phi = None if pi_phi is None else _readonly(pi_phi)
 
-    def lam(self, dlambda: float) -> float:
-        return self.step_count * dlambda
-
-    def copy(self) -> "ExtendedState":
-        return ExtendedState(
-            self.phi.copy(),
-            self.pi_phi.copy(),
-            self.s,
-            self.pi_s,
-            self.s0,
-            self.step_count,
-            self.subspace,
-        )
-
-    def extended_action(self, kind: MatterActionKind, bath: BathParams) -> float:
-        return extended_action(self.phi, self.pi_phi, self.s, self.pi_s, kind, bath)
-
-    def total_action(self, kind: MatterActionKind, bath: BathParams) -> float:
-        return self.s * (self.extended_action(kind, bath) - self.s0)
-
-    def coordinates(self) -> tuple[np.ndarray, tuple[float, float, float]] | None:
-        """(Q^T, x) with phi = Q x: the carried basis and three field
-        coordinates (those past the basis zero), or None when the state
-        carries no subspace that reproduces its arrays."""
-        sub = self.subspace
-        if sub is None or not sub.reproduces(self.phi, self.pi_phi):
-            return None
-        return sub.basis, tuple(float(v) for v in sub.x) + (0.0,) * (3 - sub.x.size)
-
-
-class _LiveState(ExtendedState):
-    """The state `run` hands its observers.
-
-    s, pi_s, step_count and the coordinates x, y (padded to three, the
-    padding zero) are current at every observer call.  phi, pi_phi and
-    subspace are built from them and the basis when first read after a
-    step; the arrays are read-only.  `coordinates` reads no array.
-    """
-
-    def __init__(self, state: ExtendedState, subspace: Subspace):
-        self.s, self.pi_s, self.s0 = state.s, state.pi_s, state.s0
-        self.step_count = state.step_count
-        self.basis = subspace.basis
-        padding = (0.0,) * (3 - self.basis.shape[0])
-        self.x = tuple(float(v) for v in subspace.x) + padding
-        self.y = tuple(float(v) for v in subspace.y) + padding
-        self.forget()
-
-    def coordinates(self) -> tuple[np.ndarray, tuple[float, float, float]]:
-        return self.basis, self.x
-
-    def forget(self) -> None:
-        """Drop what was built from the coordinates of an earlier step."""
-        self._phi = self._pi_phi = self._subspace = None
+    @classmethod
+    def from_arrays(
+        cls,
+        phi: np.ndarray,
+        pi_phi: np.ndarray,
+        s: float,
+        pi_s: float,
+        s0: float,
+        step_count: int = 0,
+    ) -> "ExtendedState":
+        """The state of the given arrays in the basis derived from them.
+        Until it is stepped it reads back the given arrays, which Q x and
+        Q y match only to round-off."""
+        basis = _derive_basis(phi, pi_phi)
+        return cls(basis, basis @ phi, basis @ pi_phi, s, pi_s, s0, step_count, phi, pi_phi)
 
     @property
     def phi(self) -> np.ndarray:
@@ -218,12 +172,23 @@ class _LiveState(ExtendedState):
             self._pi_phi = _readonly(_lift(self.basis, self.y))
         return self._pi_phi
 
-    @property
-    def subspace(self) -> Subspace:
-        if self._subspace is None:
-            k = self.basis.shape[0]
-            self._subspace = Subspace(self.basis, np.array(self.x[:k]), np.array(self.y[:k]))
-        return self._subspace
+    def forget(self) -> None:
+        """Drop the arrays of an earlier step."""
+        self._phi = self._pi_phi = None
+
+    def lam(self, dlambda: float) -> float:
+        return self.step_count * dlambda
+
+    def copy(self) -> "ExtendedState":
+        """A state that steps apart from this one; every array is shared,
+        as none can be written."""
+        return copy.copy(self)
+
+    def extended_action(self, kind: MatterActionKind, bath: BathParams) -> float:
+        return extended_action(self.phi, self.pi_phi, self.s, self.pi_s, kind, bath)
+
+    def total_action(self, kind: MatterActionKind, bath: BathParams) -> float:
+        return self.s * (self.extended_action(kind, bath) - self.s0)
 
 
 @dataclass(frozen=True)
@@ -264,7 +229,7 @@ def init_state(
     pi_phi = rng.uniform(-INIT_MOMENTUM_HALF_WIDTH, INIT_MOMENTUM_HALF_WIDTH, n)
     s, pi_s = 1.0, 0.0
     s0 = extended_action(phi, pi_phi, s, pi_s, action_kind, bath)
-    return ExtendedState(phi, pi_phi, s, pi_s, s0), rng
+    return ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0), rng
 
 
 def _advance(
@@ -341,12 +306,10 @@ def _advance(
 def flip_momenta(state: ExtendedState) -> ExtendedState:
     """Negate both momenta; running forward from the flipped state retraces
     the trajectory."""
-    out = state.copy()
-    out.pi_phi = -out.pi_phi
-    out.pi_s = -out.pi_s
-    if out.subspace is not None:
-        out.subspace = replace(out.subspace, y=-out.subspace.y)
-    return out
+    return ExtendedState(
+        state.basis, state.x, tuple(-v for v in state.y), state.s, -state.pi_s,
+        state.s0, state.step_count, state.phi, -state.pi_phi,
+    )
 
 
 def _reduced_steps(x, y, s, pi_s, s0, collective, dlambda, bath, n_steps):
@@ -424,29 +387,22 @@ def run(
     observers: Sequence[Observer] = (),
     every: int = 1,
 ) -> ExtendedState:
-    """Apply n_steps leapfrog steps; the input state is left untouched and
-    the final state is returned.
+    """Apply n_steps leapfrog steps in the state's basis; the input state is
+    left untouched and the final state is returned.
 
     Every observer is called after each step whose step_count is a multiple
     of `every`, and after the last step; the steps between two calls run in
-    one stretch.  The steps run in the state's subspace (see the module
-    docstring): its carried basis if that reproduces phi and pi_phi
-    bitwise, else one derived from them.  Observers receive a live view of
-    the evolving state whose arrays are read-only; they must not hold
-    mutable references across calls.  Step failures propagate with the
+    one stretch.  Observers receive the evolving state itself, which is
+    also the returned one, so one that keeps it across calls must copy it;
+    the arrays it reads never change.  Step failures propagate with the
     offending step index attached.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if every < 1:
         raise ValueError("every must be at least 1")
-    if n_steps == 0:
-        return state.copy()
-    subspace = state.subspace
-    if subspace is None or not subspace.reproduces(state.phi, state.pi_phi):
-        subspace = _derive_subspace(state.phi, state.pi_phi)
-    live = _LiveState(state, subspace)
-    collective = 1.0 + params.action_kind.coupling * state.phi.shape[0]
+    live = state.copy()
+    collective = 1.0 + params.action_kind.coupling * state.basis.shape[1]
     end = live.step_count + n_steps
     while live.step_count < end:
         stretch = min(every - live.step_count % every, end - live.step_count)
@@ -461,12 +417,4 @@ def run(
         live.forget()
         for observer in observers:
             observer(live)
-    return ExtendedState(
-        _lift(live.basis, live.x),
-        _lift(live.basis, live.y),
-        live.s,
-        live.pi_s,
-        live.s0,
-        live.step_count,
-        live.subspace,
-    )
+    return live

@@ -9,9 +9,9 @@ total as they close, an optional projection of each batch mean, and a
 standard error that is reported only once at least eight complete batches
 exist.
 
-A snapshot is a field array or a trajectory state.  A state that carries
-the basis Q of its trajectory's subspace (phi = Q x, at most three
-coordinates) is buffered as x, and a block of buffered samples is summed
+A snapshot is a field array or a trajectory state.  A state, held in the
+basis Q of its trajectory's subspace (phi = Q x, at most three
+coordinates), is buffered as x, and a block of buffered samples is summed
 at once into the same site-form batch sums that fields feed
 (`_SampleStream`).  The variance, covariance, MGF and fixed-shell
 correlator accumulators sum a block on its coordinates and map the sum to
@@ -132,17 +132,16 @@ class _SampleStream:
     """The sample interface of the accumulators: `add` takes a field array
     or a state.
 
-    An array, or a state without coordinates (`ExtendedState.coordinates`),
-    is a site sample, passed to `_add_site(phi)` as the (N,) field.  A state
-    with coordinates only appends x to a buffer.  `_add_block(basis,
-    coords)` adds the site-form sum of the buffered (b, k) coordinates to
-    the open batch when the buffer holds `_block_len` samples or fills the
-    open batch of `batches` (an accumulator's batch sums all close
-    together), when a sample in another basis object or a site sample
-    comes, and before a result is read.  So every batch holds
-    site-form sums, and samples of both kinds mix in any order.  The
-    default `_add_block` lifts each row to its field, bitwise the state's
-    phi, and adds it as a site sample.
+    An array is a site sample, passed to `_add_site(phi)` as the (N,)
+    field.  A state only appends its coordinates x to a buffer, and reads
+    neither array.  `_add_block(basis, coords)` adds the site-form sum of
+    the buffered (b, k) coordinates to the open batch when the buffer holds
+    `_block_len` samples or fills the open batch of `batches` (an
+    accumulator's batch sums all close together), when a state in another
+    basis object or a site sample comes, and before a result is read.  So
+    every batch holds site-form sums, and samples of both kinds mix in any
+    order.  The default `_add_block` lifts each row to its field, bitwise
+    the phi of a stepped state, and adds it as a site sample.
     """
 
     # samples a block takes at most
@@ -154,18 +153,17 @@ class _SampleStream:
         self._buffer: list[tuple[float, float, float]] = []
 
     def add(self, sample) -> None:
-        coords = sample.coordinates() if isinstance(sample, ExtendedState) else None
-        if coords is None:
+        if not isinstance(sample, ExtendedState):
             self._sum_buffer()
-            self._add_site(sample.phi if isinstance(sample, ExtendedState) else sample)
+            self._add_site(sample)
             return
-        if coords[0] is not self._basis:
+        if sample.basis is not self._basis:
             self._sum_buffer()
-            self._basis = coords[0]
+            self._basis = sample.basis
         buffer = self._buffer
         if not buffer:  # a block starts after every sum and site sample
             self._room = min(self._block_len, self._batches.room)
-        buffer.append(coords[1])
+        buffer.append(sample.x)
         if len(buffer) == self._room:
             self._sum_buffer()
 

@@ -10,13 +10,14 @@ payload holds
   values the trajectory depends on beyond the site count (`action.kind`,
   `dynamics.dlambda`), so a resume under different physics, or from a
   record that lacks one of them, is refused;
-- the subspace the state was stepped in (see `dynamics`): its dimension k,
-  then the k rows of its basis (N values each) and the k field and k
-  momentum coordinates; k = 0 records none.
-Round trips are bit-exact, the subspace included, so a resumed trajectory
-steps exactly as the unbroken one.  Versions 2 (header `RSFT-CKPT v2`, no
-subspace) and 1 (header `RSFT-CKPT v1`, neither physics record nor
-subspace) stay readable: the resumed run derives its subspace anew, and a
+- the basis the state is held in (see `dynamics`): its dimension k, then
+  the k rows of the basis (N values each) and the k field and k momentum
+  coordinates.
+Round trips are bit-exact, the basis and the coordinates included, so a
+resumed trajectory steps exactly as the unbroken one.  The writer records
+k >= 1; a file with k = 0, and versions 2 (header `RSFT-CKPT v2`, no basis)
+and 1 (header `RSFT-CKPT v1`, neither physics record nor basis), stay
+readable: the state read gets a basis derived from its arrays, and a
 version 1 file carries no physics to check.  A checkpoint is written to a
 temporary file in the same directory and renamed onto its path, so a crash
 mid-write leaves the previous checkpoint intact.
@@ -36,7 +37,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .dynamics import ExtendedState, Subspace
+from .dynamics import ExtendedState
 from .estimators import CorrelatorGrid
 
 CHECKPOINT_MAGIC = b"RSFT-CKPT v3\n"
@@ -64,16 +65,14 @@ def write_checkpoint(
     rng: np.random.Generator,
     physics: Mapping[str, str | float],
 ) -> None:
-    """Write the state, its subspace and the generator, with the physics
+    """Write the state, its basis and the generator, with the physics
     record (config key to value) that a resume must match."""
     algorithm = type(rng.bit_generator).__name__
     if algorithm not in _SUPPORTED_GENERATORS:
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
     rng_state = _json_bytes(rng.bit_generator.state)
     physics_record = _json_bytes(dict(physics))
-    n = state.phi.shape[0]
-    subspace = state.subspace
-    k = 0 if subspace is None else subspace.basis.shape[0]
+    k, n = state.basis.shape
     parts = [
         struct.pack("<Q", n),
         np.ascontiguousarray(state.phi, dtype="<f8").tobytes(),
@@ -87,12 +86,9 @@ def write_checkpoint(
         struct.pack("<I", len(physics_record)),
         physics_record,
         struct.pack("<I", k),
+        np.ascontiguousarray(state.basis, dtype="<f8").tobytes(),
+        np.array(state.x[:k] + state.y[:k], dtype="<f8").tobytes(),
     ]
-    if subspace is not None:
-        parts += [
-            np.ascontiguousarray(array, dtype="<f8").tobytes()
-            for array in (subspace.basis, subspace.x, subspace.y)
-        ]
     payload = b"".join(parts)
     checksum = struct.pack("<I", zlib.crc32(payload))
     partial = f"{os.fspath(path)}.partial"
@@ -149,7 +145,7 @@ def read_checkpoint(
     algorithm = reader.take(alg_len).decode()
     (state_len,) = reader.unpack("<I")
     rng_state = json.loads(reader.take(state_len).decode())
-    physics = subspace = None
+    physics = basis = None
     if magic != _CHECKPOINT_MAGIC_V1:
         (physics_len,) = reader.unpack("<I")
         physics = json.loads(reader.take(physics_len).decode())
@@ -159,9 +155,7 @@ def read_checkpoint(
             raise CheckpointError(f"subspace dimension {k} exceeds {_MAX_SUBSPACE_DIM}")
         if k > 0:
             basis = np.frombuffer(reader.take(8 * k * n), dtype="<f8").reshape(k, n)
-            x = np.frombuffer(reader.take(8 * k), dtype="<f8")
-            y = np.frombuffer(reader.take(8 * k), dtype="<f8")
-            subspace = Subspace(basis.astype(float), x.astype(float), y.astype(float))
+            x, y = np.frombuffer(reader.take(16 * k), dtype="<f8").reshape(2, k)
     if reader.offset != len(payload):
         raise CheckpointError("trailing bytes in checkpoint payload")
     for key, value in expect.items() if physics is not None else ():
@@ -176,7 +170,10 @@ def read_checkpoint(
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
     bit_generator = _SUPPORTED_GENERATORS[algorithm]()
     bit_generator.state = rng_state
-    state = ExtendedState(phi, pi_phi, s, pi_s, s0, step_count, subspace)
+    if basis is None:
+        state = ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0, step_count)
+    else:
+        state = ExtendedState(basis, x, y, s, pi_s, s0, step_count, phi, pi_phi)
     return state, np.random.Generator(bit_generator)
 
 

@@ -113,7 +113,7 @@ class TestTotalAction:
         rng = np.random.default_rng(3)
         phi, pi = rng.normal(size=n), rng.normal(size=n)
         s0 = extended_action(phi, pi, 1.0, 0.0, COLLECTIVE, bath)
-        assert ExtendedState(phi, pi, 1.0, 0.0, s0).total_action(COLLECTIVE, bath) == 0.0
+        assert ExtendedState.from_arrays(phi, pi, 1.0, 0.0, s0).total_action(COLLECTIVE, bath) == 0.0
 
     def test_scales_with_s(self):
         n = 4
@@ -121,7 +121,7 @@ class TestTotalAction:
         phi, pi = np.zeros(n), np.zeros(n)
         s = 3.0
         s_x = extended_action(phi, pi, s, 0.0, FREE, bath)
-        state = ExtendedState(phi, pi, s, 0.0, s_x - 2.0)
+        state = ExtendedState.from_arrays(phi, pi, s, 0.0, s_x - 2.0)
         assert state.total_action(FREE, bath) == pytest.approx(6.0)
 
     def test_bath_params_validation(self):

@@ -5,6 +5,9 @@ import pytest
 
 from rsft import cli
 from rsft.cli import main
+from rsft.config import config_from_file
+from rsft.dynamics import init_state
+from rsft.storage import read_checkpoint
 
 BASE = """
 lattice.n_per_axis = 3
@@ -117,6 +120,30 @@ class TestResume:
         part_rows = data_rows(tmp_path / "broken" / "conservation.csv")
         resume_rows = data_rows(tmp_path / "broken" / "conservation_resume.csv")
         assert part_rows + resume_rows == whole_rows
+
+    def test_zero_step_checkpoint_reads_back_and_resumes(self, tmp_path):
+        zero = BASE.replace(
+            "dynamics.equilibration_steps = 2000", "dynamics.equilibration_steps = 0"
+        ).replace("dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 0")
+        cfg_zero = write_config(tmp_path, zero + f"output.dir = {tmp_path}/zero\n", "zero.cfg")
+        assert main(["simulate", "--config", cfg_zero]) == 0
+        path = tmp_path / "zero" / "checkpoint.ckpt"
+        cfg = config_from_file(cfg_zero)
+        start, _ = init_state(cfg.lattice(), cfg.bath(), cfg.matter_action_kind(), cfg.seed)
+        loaded, _ = read_checkpoint(path, cli._checkpoint_physics(cfg))
+        # the drawn arrays, and the basis derived from them (k = 2 from phi = 0)
+        assert loaded.basis.shape == (2, cfg.site_count)
+        for name in ("phi", "pi_phi", "basis"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(start, name))
+        assert (loaded.x, loaded.y, loaded.step_count) == (start.x, start.y, 0)
+
+        cfg_whole = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/whole\n", "whole.cfg")
+        assert main(["simulate", "--config", cfg_whole]) == 0
+        cfg_rest = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/zero\n", "rest.cfg")
+        assert main(["resume", "--config", cfg_rest, "--checkpoint", str(path)]) == 0
+        assert path.read_bytes() == (tmp_path / "whole" / "checkpoint.ckpt").read_bytes()
+        whole_rows = data_rows(tmp_path / "whole" / "conservation.csv")
+        assert data_rows(tmp_path / "zero" / "conservation_resume.csv") == whole_rows[1:]
 
     @pytest.mark.parametrize(
         "key, change",

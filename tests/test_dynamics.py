@@ -26,15 +26,14 @@ def default_setup(n_per_axis=7, kind=COLLECTIVE, dlambda=0.01, seed=1, beta=1.0)
 
 
 def reference_run(params, state, n_steps):
-    """n_steps of the reference step `_advance` on the full site arrays."""
-    out = state.copy()
+    """n_steps of the reference step `_advance` on copies of the state's
+    site arrays."""
+    phi, pi_phi, s, pi_s = state.phi.copy(), state.pi_phi.copy(), state.s, state.pi_s
     for _ in range(n_steps):
-        out.s, out.pi_s = _advance(
-            out.phi, out.pi_phi, out.s, out.pi_s, out.s0, params.dlambda,
-            params.action_kind, params.bath,
+        s, pi_s = _advance(
+            phi, pi_phi, s, pi_s, state.s0, params.dlambda, params.action_kind, params.bath
         )
-        out.step_count += 1
-    return out
+    return ExtendedState.from_arrays(phi, pi_phi, s, pi_s, state.s0, state.step_count + n_steps)
 
 
 def relative_errors(state, reference):
@@ -103,10 +102,9 @@ class TestLeapfrogStep:
         # which to first order is -(dl/2) n_f / beta.
         n = 343
         bath = BathParams(1.0, float(n), n)
-        lattice = MomentumLattice(7, 0.1)
-        state, _ = init_state(lattice, bath, FREE, 5)
-        state.pi_phi[...] = 0.0
-        state.s0 = extended_action(state.phi, state.pi_phi, state.s, state.pi_s, FREE, bath)
+        phi = pi_phi = np.zeros(n)
+        s0 = extended_action(phi, pi_phi, 1.0, 0.0, FREE, bath)
+        state = ExtendedState.from_arrays(phi, pi_phi, 1.0, 0.0, s0)
         dl = 0.01
         params = IntegratorParams(dl, bath, FREE)
         stepped = run(state, params, 1)
@@ -180,7 +178,7 @@ class TestLeapfrogStep:
         params = IntegratorParams(0.002, bath, COLLECTIVE)
 
         def step_map(z):
-            state = ExtendedState(np.array([z[0]]), np.array([z[1]]), z[2], z[3], s0=0.17)
+            state = ExtendedState.from_arrays(np.array([z[0]]), np.array([z[1]]), z[2], z[3], 0.17)
             out = run(state, params, 1)
             return np.array([out.phi[0], out.pi_phi[0], out.s, out.pi_s])
 
@@ -234,6 +232,17 @@ class TestRun:
         run(state, params, 5, [observer])
         assert seen == [1, 2, 3, 4, 5]
 
+    def test_arrays_and_basis_cannot_be_written(self):
+        _, _, params, state, _ = default_setup(n_per_axis=3)
+        for out in (state, run(state, params, 20)):
+            for name in ("phi", "pi_phi"):
+                with pytest.raises(AttributeError):
+                    setattr(out, name, np.zeros(27))
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(out, name)[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                out.basis[0, 0] = 1.0
+
     def test_negative_steps_rejected(self):
         _, _, params, state, _ = default_setup(n_per_axis=3)
         with pytest.raises(ValueError):
@@ -274,19 +283,18 @@ class TestSubspacePath:
     def test_single_site_matches_reference(self, kind):
         _, _, params, state, _ = default_setup(n_per_axis=1, kind=kind)
         out = run(state, params, 20_000)
-        assert out.subspace.basis.shape == (1, 1)
+        assert out.basis.shape == (1, 1)
         assert max(relative_errors(out, reference_run(params, state, 20_000))) <= 1e-9
 
     @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
     def test_nonzero_start_field_spans_three_dimensions(self, kind):
         _, bath, params, state, rng = default_setup(n_per_axis=5, kind=kind)
-        state.phi[...] = rng.normal(size=state.phi.shape)
-        state.s0 = state.extended_action(kind, bath)
+        phi = rng.normal(size=state.phi.shape)
+        s0 = extended_action(phi, state.pi_phi, state.s, state.pi_s, kind, bath)
+        state = ExtendedState.from_arrays(phi, state.pi_phi, state.s, state.pi_s, s0)
         out = run(state, params, 20_000)
-        assert out.subspace.basis.shape == (3, state.phi.shape[0])
-        np.testing.assert_allclose(
-            out.subspace.basis @ out.subspace.basis.T, np.eye(3), rtol=0, atol=1e-14
-        )
+        assert out.basis.shape == (3, phi.shape[0])
+        np.testing.assert_allclose(out.basis @ out.basis.T, np.eye(3), rtol=0, atol=1e-14)
         assert max(relative_errors(out, reference_run(params, state, 20_000))) <= 1e-9
 
     @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
@@ -296,32 +304,26 @@ class TestSubspacePath:
         with pytest.raises(StepFailureError) as reduced:
             run(state, bad, 10)
         failed_at = None
+        phi, pi_phi, s, pi_s = state.phi.copy(), state.pi_phi.copy(), state.s, state.pi_s
         with pytest.raises(StepFailureError) as full:
-            out = state.copy()
             for failed_at in range(1, 11):
-                out.s, out.pi_s = _advance(
-                    out.phi, out.pi_phi, out.s, out.pi_s, out.s0, 50.0, kind, bath
-                )
+                s, pi_s = _advance(phi, pi_phi, s, pi_s, state.s0, 50.0, kind, bath)
         assert reduced.value.stage == full.value.stage
         assert reduced.value.step_index == failed_at
 
-    def test_stale_basis_is_derived_again(self):
+    def test_flip_twice_restores_the_state_bitwise(self):
         _, _, params, state, _ = default_setup(n_per_axis=5)
-        out = run(state, params, 100)
-        assert out.subspace.reproduces(out.phi, out.pi_phi)
-        out.phi[0] += 0.25  # the carried basis no longer holds phi
-        assert not out.subspace.reproduces(out.phi, out.pi_phi)
-        fresh = ExtendedState(out.phi.copy(), out.pi_phi.copy(), out.s, out.pi_s, out.s0, 100)
-        stepped = run(out, params, 1_000)
-        np.testing.assert_array_equal(stepped.phi, run(fresh, params, 1_000).phi)
-        assert stepped.subspace.basis.shape[0] == 3
-        assert max(relative_errors(stepped, reference_run(params, out, 1_000))) <= 1e-9
-
-    def test_copy_and_flip_keep_a_reproducing_basis(self):
-        _, _, params, state, _ = default_setup(n_per_axis=3)
-        out = run(state, params, 50)
-        for other in (out.copy(), flip_momenta(out)):
-            assert other.subspace.reproduces(other.phi, other.pi_phi)
+        for original in (state, run(state, params, 50)):
+            flipped = flip_momenta(original)
+            np.testing.assert_array_equal(flipped.pi_phi, -original.pi_phi)
+            back = flip_momenta(flipped)
+            assert np.array_equal(back.basis, original.basis)
+            assert (back.x, back.y) == (original.x, original.y)
+            assert (back.s, back.pi_s, back.step_count) == (
+                original.s, original.pi_s, original.step_count
+            )
+            for name in ("phi", "pi_phi"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(original, name))
 
     def test_observers_share_one_rebuild_per_step(self):
         _, _, params, state, _ = default_setup(n_per_axis=3)
@@ -363,7 +365,6 @@ class TestCadence:
             np.testing.assert_array_equal(got[1], pi_phi)
             assert (got[2], got[3]) == (s, pi_s)
         np.testing.assert_array_equal(final.phi, reference.phi)
-        assert final.subspace.reproduces(final.phi, final.pi_phi)
 
     @pytest.mark.parametrize(
         "kind, dlambda, start, every",
@@ -396,20 +397,10 @@ class TestCoordinates:
         seen = []
 
         def observer(live):
-            basis, x = live.coordinates()
+            basis, x = live.basis, live.x
             assert len(x) == 3 and x[basis.shape[0]:] == (0.0,) * (3 - basis.shape[0])
             lifted = sum(x[j] * basis[j] for j in range(basis.shape[0]))
             seen.append(np.abs(lifted - live.phi).max())
 
         run(state, params, 50, [observer], every=10)
         assert len(seen) == 5 and max(seen) <= 1e-14
-
-    def test_plain_state_has_coordinates_only_with_a_reproducing_basis(self):
-        _, _, params, state, _ = default_setup(n_per_axis=5)
-        assert state.coordinates() is None
-        out = run(state, params, 30)
-        basis, x = out.coordinates()
-        assert basis is out.subspace.basis
-        assert x == tuple(out.subspace.x) + (0.0,) * (3 - basis.shape[0])
-        out.phi[0] += 0.25
-        assert out.coordinates() is None

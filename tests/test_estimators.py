@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rsft import dynamics
+from rsft import dynamics, estimators
 from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import ExtendedState, IntegratorParams, Subspace, init_state, run
+from rsft.dynamics import ExtendedState, IntegratorParams, init_state, run
 from rsft.estimators import (
     COORDINATE_BUFFER_LEN,
     MIN_BATCHES,
@@ -725,7 +725,7 @@ class TestCoordinatePath:
         state = run(state, params, 600, [sampler(coordinate, site)], every=10)
         assert all(acc._buffer for acc in coordinate)
         assert_paths_agree(coordinate, site)
-        # 47 more from the returned state, whose basis is an equal copy:
+        # 47 more from the returned state, which keeps its basis object:
         # 15 batches and 2 samples of the sixteenth
         run(state, params, 470, [sampler(coordinate, site)], every=10)
         assert all(acc._basis is not None for acc in coordinate)
@@ -767,14 +767,8 @@ class TestCoordinatePath:
         def no_field(live):
             raise AssertionError("the coordinate path read phi")
 
-        monkeypatch.setattr(dynamics._LiveState, "phi", property(no_field))
-        feed_states = sampler(coordinate, [])
-
-        def observe(live):
-            feed_states(live)
-            assert live._subspace is None  # nor built a Subspace
-
-        run(state, params, 650, [observe], every=10)
+        monkeypatch.setattr(ExtendedState, "phi", property(no_field))
+        run(state, params, 650, [sampler(coordinate, [])], every=10)
         monkeypatch.undo()
         assert_paths_agree(coordinate, site)
 
@@ -793,7 +787,7 @@ class TestCoordinatePath:
         assert peak <= 150_000, peak
         assert all(reported(acc)[1] == 4000 for acc in accs)
 
-    def test_plain_state_with_a_reproducing_basis_takes_the_coordinate_path(self):
+    def test_state_returned_by_run_takes_the_coordinate_path(self):
         lattice, params, state = trajectory(5, COLLECTIVE, seed=7)
         coordinate = coordinate_path_accumulators(lattice, batch_len=3)
         site = coordinate_path_accumulators(lattice, batch_len=3)
@@ -805,13 +799,30 @@ class TestCoordinatePath:
         assert all(acc._basis is not None for acc in coordinate)
         assert_paths_agree(coordinate, site)
 
+    def test_state_returned_by_run_is_never_lifted(self, monkeypatch):
+        lattice, params, state = trajectory(9, COLLECTIVE, seed=7)
+        accs = coordinate_path_accumulators(lattice, batch_len=3)
+        lift, lifts = dynamics._lift, []
+
+        def counted(basis, coords):
+            lifts.append(coords)
+            return lift(basis, coords)
+
+        monkeypatch.setattr(dynamics, "_lift", counted)
+        monkeypatch.setattr(estimators, "_lift", counted)
+        for _ in range(30):
+            state = run(state, params, 10)
+            for acc in accs:
+                acc.add(state)
+        for acc in accs:
+            reported(acc)
+        assert lifts == []
+
     def test_overflow_is_raised_when_the_buffer_is_summed(self):
         n = 8
         basis = np.full((1, n), 1.0 / np.sqrt(n))
         x = np.array([1e6])
-        state = ExtendedState(
-            x[0] * basis[0], 0.0 * basis[0], 1.0, 0.0, 0.0, 0, Subspace(basis, x, np.zeros(1))
-        )
+        state = ExtendedState(basis, x, np.zeros(1), 1.0, 0.0, 0.0)
         acc = MgfAccumulator(0, 1, 0.1, batch_len=10)
         acc.add(state)
         with pytest.raises(EstimatorError, match="eps"):

@@ -28,6 +28,9 @@ PHYSICS = {"action.kind": "free_collective", "dynamics.dlambda": 0.01}
 # 137 steps by the full-array leapfrog, which `reference_run` repeats.
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.ckpt"
 CHECKPOINT_V2 = Path(__file__).parent / "data" / "checkpoint_v2.ckpt"
+# Written by the version 3 writer from `setup_run()` advanced 137 steps by
+# `run`.
+CHECKPOINT_V3 = Path(__file__).parent / "data" / "checkpoint_v3.ckpt"
 
 
 def setup_run(n_per_axis=3, seed=5):
@@ -122,11 +125,8 @@ class TestCheckpoint:
         write_checkpoint(path, state, rng, PHYSICS)
         assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
         loaded, _ = read_checkpoint(path, PHYSICS)
-        for name in ("basis", "x", "y"):
-            np.testing.assert_array_equal(
-                getattr(loaded.subspace, name), getattr(state.subspace, name)
-            )
-        assert loaded.subspace.reproduces(loaded.phi, loaded.pi_phi)
+        np.testing.assert_array_equal(loaded.basis, state.basis)
+        assert (loaded.x, loaded.y) == (state.x, state.y)
 
     def test_subspace_dimension_above_three_is_refused(self, tmp_path):
         params, state, rng = setup_run()
@@ -134,7 +134,7 @@ class TestCheckpoint:
         path = tmp_path / "state.ckpt"
         write_checkpoint(path, state, rng, PHYSICS)
         blob = path.read_bytes()
-        n, k = state.subspace.basis.shape[1], state.subspace.basis.shape[0]
+        k, n = state.basis.shape
         # the dimension field precedes the k x N basis and the 2k coordinates
         at = len(blob) - 4 - 8 * k * (n + 2) - 4
         payload = blob[len(CHECKPOINT_MAGIC) : at] + struct.pack("<I", 4) + blob[at + 4 : -4]
@@ -152,9 +152,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.phi, reference.phi)
         np.testing.assert_array_equal(loaded.pi_phi, reference.pi_phi)
         assert (loaded.s, loaded.pi_s, loaded.step_count) == (reference.s, reference.pi_s, 137)
-        assert loaded.subspace is None
+        assert loaded.basis.shape == (2, 27)
         assert loaded_rng.bit_generator.state == rng.bit_generator.state
-        # the resumed run derives its subspace and follows the reference step
+        # the state read gets a derived basis, and its run follows the reference step
         resumed = run(loaded, params, 263)
         reference = reference_run(params, reference, 263)
         assert resumed.step_count == 400
@@ -162,6 +162,24 @@ class TestCheckpoint:
         assert np.abs(resumed.phi - reference.phi).max() <= 1e-12 * scale
         assert np.abs(resumed.pi_phi - reference.pi_phi).max() <= 1e-12 * scale
         assert resumed.s == pytest.approx(reference.s, rel=1e-12)
+
+    def test_version_3_file_is_written_back_byte_for_byte(self, tmp_path):
+        loaded, loaded_rng = read_checkpoint(CHECKPOINT_V3, expect=PHYSICS)
+        path = tmp_path / "again.ckpt"
+        write_checkpoint(path, loaded, loaded_rng, PHYSICS)
+        assert path.read_bytes() == CHECKPOINT_V3.read_bytes()
+
+    def test_version_3_file_resumes_as_the_unbroken_run(self):
+        params, state, rng = setup_run()
+        whole = run(state, params, 400)
+        loaded, loaded_rng = read_checkpoint(CHECKPOINT_V3, expect=PHYSICS)
+        assert loaded.step_count == 137
+        assert loaded_rng.bit_generator.state == rng.bit_generator.state
+        rest = run(loaded, params, 263)
+        for name in ("basis", "phi", "pi_phi"):
+            np.testing.assert_array_equal(getattr(rest, name), getattr(whole, name))
+        assert (rest.x, rest.y, rest.s, rest.pi_s) == (whole.x, whole.y, whole.s, whole.pi_s)
+        assert rest.step_count == whole.step_count
 
     def test_corrupted_byte_is_detected(self, tmp_path):
         params, state, rng = setup_run()
