@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, estimators, oracles, storage
 from .config import ConfigError, RunConfig, config_from_file
-from .dynamics import ExtendedState, StepFailureError
+from .dynamics import CoordinateBlock, ExtendedState, StepFailureError
 from .estimators import (
     CorrelatorAccumulator,
     CovarianceAccumulator,
@@ -113,15 +113,10 @@ def _checkpoint_observer(cfg: RunConfig, rng, path):
     return observe
 
 
-def _sampling_observer(cfg: RunConfig, accumulators):
-    start = cfg.equilibration_steps
-    stride = cfg.thin_stride
-
-    def observe(state: ExtendedState) -> None:
-        offset = state.step_count - start
-        if offset > 0 and offset % stride == 0:
-            for acc in accumulators:
-                acc.add(state)
+def _sampling_observer(accumulators):
+    def observe(block: CoordinateBlock) -> None:
+        for acc in accumulators:
+            acc.add(block)
 
     return observe
 
@@ -149,15 +144,15 @@ def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_fro
         observers = [
             _conservation_observer(log, cfg, params, kind, bath),
             _checkpoint_observer(cfg, rng, ckpt_path),
-            _sampling_observer(cfg, accumulators),
         ]
-        # every observer acts only at multiples of these, so run calls them
-        # at multiples of their gcd
-        every = math.gcd(
-            cfg.log_every, cfg.checkpoint_every, cfg.thin_stride, cfg.equilibration_steps
+        sampling = dynamics.Sampling(
+            cfg.equilibration_steps, cfg.thin_stride, _sampling_observer(accumulators)
         )
+        # both observers act only at multiples of these, so run calls them
+        # at multiples of their gcd
+        every = math.gcd(cfg.log_every, cfg.checkpoint_every)
         final = dynamics.run(
-            state, params, cfg.total_steps - state.step_count, observers, every
+            state, params, cfg.total_steps - state.step_count, observers, every, sampling
         )
         storage.write_checkpoint(ckpt_path, final, rng, _checkpoint_physics(cfg))
     return final, log.max_abs_total_action

@@ -34,12 +34,14 @@ coordinates x and y, with phi = Q x and pi_phi = Q y lifted only when read.
 trajectory split into several runs, or resumed from a checkpoint, keeps its
 basis and coordinates and so steps bitwise as the unbroken one does.
 
-`run` is the one loop over that step.  Everything that reads a trajectory
-(the conservation log, periodic checkpoints, every sampled estimator) is an
-observer it calls after every `every`-th step, so a trajectory average is a
-streaming accumulator fed each thinned snapshot; the steps in between run in
-one call of the step function.  Observers read phi and pi_phi, each lifted
-at most once per stretch, or the basis and the coordinates x directly.
+`run` is the one loop over that step.  The conservation log and periodic
+checkpoints are observers it calls after every `every`-th step; the steps
+in between run in one call of the step function.  Observers read phi and
+pi_phi, each lifted at most once per stretch, or the basis and the
+coordinates x directly.  The thinned snapshots that the estimators average
+are a `Sampling`: the step function records the coordinates x of each
+sampled step, and `run` hands them on as one block per stretch, so a
+trajectory average is a streaming accumulator fed blocks of coordinates.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +61,9 @@ INIT_MOMENTUM_HALF_WIDTH = 2.5
 # of its norm adds no basis vector, so a state's arrays are held to this
 # relative accuracy, and round-off never becomes a basis direction.
 SUBSPACE_RANK_TOLERANCE = 1e-12
+# sampled coordinate rows a run hands over in one block at most, and an
+# accumulator holds before it sums them into its batch
+COORDINATE_BUFFER_LEN = 256
 
 
 class StepFailureError(RuntimeError):
@@ -205,6 +210,30 @@ class IntegratorParams:
 Observer = Callable[[ExtendedState], None]
 
 
+class CoordinateBlock(NamedTuple):
+    """The coordinates x of consecutive sampled steps of one trajectory: the
+    basis Q^T and one row of three floats per step, in step order."""
+
+    basis: np.ndarray
+    rows: Sequence[tuple[float, float, float]]
+
+
+@dataclass(frozen=True)
+class Sampling:
+    """The steps a run samples, and where their coordinates go: every step
+    whose step_count is start + j * stride for some j >= 1.  `take`
+    receives them as CoordinateBlocks."""
+
+    start: int
+    stride: int
+    take: Callable[[CoordinateBlock], None]
+
+    def next_after(self, step_count: int) -> int:
+        """The first sampled step_count above step_count."""
+        done = max(0, step_count - self.start) // self.stride
+        return self.start + (done + 1) * self.stride
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """The repository-wide seeded generator (PCG64)."""
     return np.random.Generator(np.random.PCG64(seed))
@@ -312,71 +341,83 @@ def flip_momenta(state: ExtendedState) -> ExtendedState:
     )
 
 
-def _reduced_steps(x, y, s, pi_s, s0, collective, dlambda, bath, n_steps):
+def _reduced_steps(
+    x, y, s, pi_s, s0, collective, dlambda, bath, n_steps, rows=None, first=0, stride=1
+):
     """n_steps steps of `_advance` on subspace coordinates; returns the new
     (x, y, s, pi_s).
 
     x and y are three coordinates (the unused ones zero, and they stay so);
     the first lies along 1/sqrt(N), where M has the eigenvalue
     `collective` = 1 + cN, and M is the identity on the others.  Each step
-    starts from the matter action, its gradient and log s of the end of the
-    step before, so a run split into several calls steps bitwise as one
-    call does.  Failures raise the stages of `_advance`, with the index of
-    the failing step within the call.
+    starts from the matter action, its gradient, log s, s^2, 1/s and h s of
+    the end of the step before, so a run split into several calls steps
+    bitwise as one call does.  y does not change during the drift, so both
+    kinetic terms of a step share one |y|^2.  The coordinates x after steps
+    first, first + stride, ... of the call are appended to the list `rows`,
+    three floats each; with first 0, as by default, none are.  Failures
+    raise the stages of `_advance`, with the index of the failing step
+    within the call.
     """
     h = 0.5 * dlambda
     m_s = bath.m_s
     n_f_beta = bath.n_f / bath.beta
-    a = h / (2.0 * m_s)
+    four_a = 4.0 * (h / (2.0 * m_s))
+    two_m_s, four_m_s = 2.0 * m_s, 4.0 * m_s
+    sqrt, log = math.sqrt, math.log
     x0, x1, x2 = x
     y0, y1, y2 = y
     g0 = collective * x0
     s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
-    log_s = math.log(s)
+    bath_log = n_f_beta * log(s)
+    s_squared, inv_s, kick = s * s, 1.0 / s, h * s
     for step in range(1, n_steps + 1):
-        kick = h * s
         y0 -= kick * g0
         y1 -= kick * x1
         y2 -= kick * x2
 
-        kinetic = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
-        drive = 0.5 * kinetic - n_f_beta - s_m - n_f_beta * log_s + s0
+        y_squared = y0 * y0 + y1 * y1 + y2 * y2
+        drive = 0.5 * (y_squared / s_squared) - n_f_beta - s_m - bath_log + s0
         b = pi_s + h * drive
-        disc = 1.0 + 4.0 * a * b
+        disc = 1.0 + four_a * b
         if disc < 0.0:
             raise StepFailureError(
                 "bath-kick", f"negative discriminant {disc:.3e} in bath-momentum solve", step
             )
-        pi_s_half = 2.0 * b / (1.0 + math.sqrt(disc))
+        pi_s_half = 2.0 * b / (1.0 + sqrt(disc))
 
-        c = dlambda * pi_s_half / (4.0 * m_s)
+        c = dlambda * pi_s_half / four_m_s
         if not -1.0 < c < 1.0:
             raise StepFailureError(
                 "scale-drift", f"scale-factor update out of range (c={c:.3e})", step
             )
         ratio = (1.0 + c) / (1.0 - c)
-        s_before = s
         s = (s * ratio) * ratio
         if not s > 0.0:
             raise StepFailureError(
                 "scale-drift", f"scale factor became nonpositive ({s:.3e})", step
             )
-        drift = h * (1.0 / s_before + 1.0 / s)
+        inv_before, inv_s = inv_s, 1.0 / s
+        drift = h * (inv_before + inv_s)
         x0 += drift * y0
         x1 += drift * y1
         x2 += drift * y2
 
         g0 = collective * x0
         s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
-        log_s = math.log(s)
-        kinetic2 = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
-        s_x = 0.5 * kinetic2 + pi_s_half * pi_s_half / (2.0 * m_s) + s_m + n_f_beta * log_s
+        bath_log = n_f_beta * log(s)
+        s_squared = s * s
+        kinetic2 = y_squared / s_squared
+        s_x = 0.5 * kinetic2 + pi_s_half * pi_s_half / two_m_s + s_m + bath_log
         pi_s = pi_s_half + h * (kinetic2 - n_f_beta - (s_x - s0))
 
         kick = h * s
         y0 -= kick * g0
         y1 -= kick * x1
         y2 -= kick * x2
+        if step == first:
+            rows.append((x0, x1, x2))
+            first += stride
     return (x0, x1, x2), (y0, y1, y2), s, pi_s
 
 
@@ -386,6 +427,7 @@ def run(
     n_steps: int,
     observers: Sequence[Observer] = (),
     every: int = 1,
+    sampling: Sampling | None = None,
 ) -> ExtendedState:
     """Apply n_steps leapfrog steps in the state's basis; the input state is
     left untouched and the final state is returned.
@@ -394,7 +436,11 @@ def run(
     of `every`, and after the last step; the steps between two calls run in
     one stretch.  Observers receive the evolving state itself, which is
     also the returned one, so one that keeps it across calls must copy it;
-    the arrays it reads never change.  Step failures propagate with the
+    the arrays it reads never change.  The step function records the
+    coordinates of the steps `sampling` selects, and each stretch that
+    holds some hands them to `sampling.take` as one block before the
+    observers are called; a stretch ends early once it holds
+    COORDINATE_BUFFER_LEN of them.  Step failures propagate with the
     offending step index attached.
     """
     if n_steps < 0:
@@ -406,15 +452,23 @@ def run(
     end = live.step_count + n_steps
     while live.step_count < end:
         stretch = min(every - live.step_count % every, end - live.step_count)
+        rows, first, stride = None, 0, 1
+        if sampling is not None:
+            rows, stride = [], sampling.stride
+            # index within the stretch of the next sampled step
+            first = sampling.next_after(live.step_count) - live.step_count
+            stretch = min(stretch, first + (COORDINATE_BUFFER_LEN - 1) * stride)
         try:
             live.x, live.y, live.s, live.pi_s = _reduced_steps(
                 live.x, live.y, live.s, live.pi_s, live.s0, collective,
-                params.dlambda, params.bath, stretch,
+                params.dlambda, params.bath, stretch, rows, first, stride,
             )
         except StepFailureError as err:
             raise err.with_step_index(live.step_count + err.step_index) from None
         live.step_count += stretch
         live.forget()
+        if rows:
+            sampling.take(CoordinateBlock(live.basis, rows))
         for observer in observers:
             observer(live)
     return live

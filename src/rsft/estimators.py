@@ -1,7 +1,8 @@
 """Trajectory-average estimators with batch-means error bars.
 
-All estimators are streaming accumulators fed one snapshot at a time, so
-figure-scale runs never hold the sample history in memory.  Each one maps
+All estimators are streaming accumulators fed a bounded block of
+snapshots at a time, so figure-scale runs never hold the sample history in
+memory.  Each one maps
 a snapshot to an observable (squares, a product block, exponential source
 moments, phased field sums) and feeds it to BatchMeans, the single
 batch-means core: contiguous fixed-length batches folded into a running
@@ -9,11 +10,12 @@ total as they close, an optional projection of each batch mean, and a
 standard error that is reported only once at least eight complete batches
 exist.
 
-A snapshot is a field array or a trajectory state.  A state, held in the
-basis Q of its trajectory's subspace (phi = Q x, at most three
-coordinates), is buffered as x, and a block of buffered samples is summed
-at once into the same site-form batch sums that fields feed
-(`_SampleStream`).  The variance, covariance, MGF and fixed-shell
+A snapshot is a field array or a trajectory state, and `run` hands the
+sampled states of a trajectory over as blocks of their coordinates.  A
+state is held in the basis Q of its trajectory's subspace (phi = Q x, at
+most three coordinates); its x is buffered, and a block of buffered
+samples is summed at once into the same site-form batch sums that fields
+feed (`_SampleStream`).  The variance, covariance, MGF and fixed-shell
 correlator accumulators sum a block on its coordinates and map the sum to
 sites through Q, so they never build a field; a dynamic-shell correlator
 takes blocks of one state and lifts each to its field.
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ExtendedState, _lift
+from .dynamics import COORDINATE_BUFFER_LEN, CoordinateBlock, ExtendedState, _lift
 from .lattice import MomentumLattice, MassShell, FixedShell, effective_masses, omega
 
 MIN_BATCHES = 8
@@ -34,8 +36,6 @@ MAX_COVARIANCE_SITES = 64
 MAX_MGF_EPSILON = 0.1
 # log of the largest float: the exponential of anything below it is finite
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
-# coordinate samples an accumulator holds before it sums them into its batch
-COORDINATE_BUFFER_LEN = 256
 
 
 class EstimatorError(RuntimeError):
@@ -129,22 +129,24 @@ class BatchMeans:
 
 
 class _SampleStream:
-    """The sample interface of the accumulators: `add` takes a field array
-    or a state.
+    """The sample interface of the accumulators: `add` takes a field array,
+    a block of sampled coordinates (`CoordinateBlock`) or a state, which is
+    the block of its one row x.
 
     An array is a site sample, passed to `_add_site(phi)` as the (N,)
-    field.  A state only appends its coordinates x to a buffer, and reads
-    neither array.  `_add_block(basis, coords)` adds the site-form sum of
-    the buffered (b, k) coordinates to the open batch when the buffer holds
-    `_block_len` samples or fills the open batch of `batches` (an
-    accumulator's batch sums all close together), when a state in another
+    field.  The rows of a block are appended to a buffer, and no field is
+    read.  `_add_block(basis, coords)` adds the site-form sum of the
+    buffered (b, k) coordinates to the open batch when the buffer holds
+    `_block_len` rows or fills the open batch of `batches` (an
+    accumulator's batch sums all close together), when a block in another
     basis object or a site sample comes, and before a result is read.  So
-    every batch holds site-form sums, and samples of both kinds mix in any
-    order.  The default `_add_block` lifts each row to its field, bitwise
-    the phi of a stepped state, and adds it as a site sample.
+    a block is cut at the same rows whatever blocks its rows came in, every
+    batch holds site-form sums, and samples of both kinds mix in any order.
+    The default `_add_block` lifts each row to its field, bitwise the phi of
+    a stepped state, and adds it as a site sample.
     """
 
-    # samples a block takes at most
+    # rows a block takes at most
     _block_len = COORDINATE_BUFFER_LEN
 
     def __init__(self, batches: BatchMeans):
@@ -153,19 +155,26 @@ class _SampleStream:
         self._buffer: list[tuple[float, float, float]] = []
 
     def add(self, sample) -> None:
-        if not isinstance(sample, ExtendedState):
+        if isinstance(sample, ExtendedState):
+            sample = CoordinateBlock(sample.basis, (sample.x,))
+        elif not isinstance(sample, CoordinateBlock):
             self._sum_buffer()
             self._add_site(sample)
             return
-        if sample.basis is not self._basis:
+        basis, rows = sample
+        if basis is not self._basis:
             self._sum_buffer()
-            self._basis = sample.basis
+            self._basis = basis
         buffer = self._buffer
-        if not buffer:  # a block starts after every sum and site sample
-            self._room = min(self._block_len, self._batches.room)
-        buffer.append(sample.x)
-        if len(buffer) == self._room:
-            self._sum_buffer()
+        taken = 0
+        while taken < len(rows):
+            if not buffer:  # a block starts after every sum and site sample
+                self._room = min(self._block_len, self._batches.room)
+            more = min(self._room - len(buffer), len(rows) - taken)
+            buffer.extend(rows[taken : taken + more])
+            taken += more
+            if len(buffer) == self._room:
+                self._sum_buffer()
 
     def _sum_buffer(self) -> None:
         if self._buffer:
@@ -327,20 +336,30 @@ def _time_step(times: np.ndarray) -> float:
     return float(times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
 
 
-def _unit_phase(angles: np.ndarray) -> np.ndarray:
-    """cos(angles) + i sin(angles), from real cos and sin.
+def _unit_phase(angles: np.ndarray, out=None, part=None) -> np.ndarray:
+    """cos(angles) + i sin(angles), from real cos and sin, into `out` if
+    given.
 
     These give the bits of np.exp(1j * angles), and unlike numpy's complex
     exp they are not slowed about tenfold after a complex matmul (measured
-    with OpenBLAS 0.3.31).
+    with OpenBLAS 0.3.31).  Each of cos and sin is formed in a contiguous
+    real array, `part` if given, before it is copied into its strided half
+    of the output, so a kept buffer gives the bits of a fresh one.
     """
-    phase = np.empty(angles.shape, dtype=complex)
-    phase.real = np.cos(angles)
-    phase.imag = np.sin(angles)
+    phase = np.empty(angles.shape, dtype=complex) if out is None else out
+    part = np.empty(angles.shape) if part is None else part
+    phase.real = np.cos(angles, out=part)
+    phase.imag = np.sin(angles, out=part)
     return phase
 
 
-def _phase_rows(anchor_time, dt, before, after, freqs, weights, put) -> None:
+def _phase_work(n: int) -> tuple[np.ndarray, ...]:
+    """The (N,) buffers of `_phase_rows`: angles and a real part, then the
+    start, step and running rows."""
+    return (np.empty(n), np.empty(n)) + tuple(np.empty(n, dtype=complex) for _ in range(3))
+
+
+def _phase_rows(anchor_time, dt, before, after, freqs, weights, put, work=None) -> None:
     """put(before + j, row) for j = -before .. after, where row is
     weights * exp(i (anchor_time + j dt) freqs).
 
@@ -351,17 +370,23 @@ def _phase_rows(anchor_time, dt, before, after, freqs, weights, put) -> None:
     N real cos and N real sin (twice that when the anchor time is not 0)
     however many there are, and the round-off grows by about one ulp per
     row away from the anchor.  Each row is formed in an (N,) buffer that
-    put must not keep.  With real weights and anchor time 0, row -j is
-    bitwise the conjugate of row j.
+    put must not keep; `work` (from `_phase_work`) holds them across calls,
+    and fresh ones are made without it.  With real weights and anchor time
+    0, row -j is bitwise the conjugate of row j.
     """
-    start = np.empty(np.shape(freqs), dtype=complex)
+    angles, part, start, step, row = _phase_work(np.size(freqs)) if work is None else work
     if anchor_time == 0.0:
         start[...] = weights
     else:
-        np.multiply(weights, _unit_phase(anchor_time * freqs), out=start)
-    step = _unit_phase(dt * freqs)
+        np.multiply(anchor_time, freqs, out=angles)
+        np.multiply(weights, _unit_phase(angles, step, part), out=start)
+    np.multiply(dt, freqs, out=angles)
+    _unit_phase(angles, step, part)
     put(before, start)
-    row = start.copy() if before else start
+    if before:
+        np.copyto(row, start)
+    else:
+        row = start
     for k in range(before + 1, before + after + 1):
         np.multiply(row, step, out=row)
         put(k, row)
@@ -507,6 +532,11 @@ class CorrelatorAccumulator(_SampleStream):
             # nothing: at 25^3 a burst of 10 rows took about three times the
             # minor page faults of rows taken as they come (glibc malloc).
             self._block_len = 1
+            # (N,) buffers every sample writes into: the frequencies in site
+            # order, then the frequencies and weights in group order
+            n_sites = momenta.shape[0]
+            self._site_freqs, self._freqs, self._weights = (np.empty(n_sites) for _ in range(3))
+            self._phase_work = _phase_work(n_sites)
             self._sums = BatchMeans(
                 (n_rows, self._starts.size), batch_len, complex, project=self._on_grid
             )
@@ -520,22 +550,36 @@ class CorrelatorAccumulator(_SampleStream):
         return grid @ self._group_phase
 
     def _add_site(self, phi: np.ndarray) -> None:
-        weighted = float(np.sum(phi)) * phi
+        total = float(np.sum(phi))
         if isinstance(self.shell, FixedShell):
-            self._sums.add(weighted)
+            self._sums.add(total * phi)
             return
-        # the frequencies replace the masses, so a local shell's (N,) masses
-        # are freed before the rows are formed
-        freqs = effective_masses(self.shell, phi)
-        freqs = np.sqrt(self._p_squared + freqs * freqs)[self._order]
+        site_freqs = self._site_freqs
+        # the frequencies replace the masses in their buffer; the one mass
+        # of a global shell is squared as a scalar
+        masses = effective_masses(self.shell, phi, out=site_freqs)
+        squares = np.multiply(masses, masses, out=site_freqs if np.ndim(masses) else None)
+        np.add(self._p_squared, squares, out=site_freqs)
+        np.sqrt(site_freqs, out=site_freqs)
+        freqs = self._grouped(site_freqs, self._freqs)
+        weights = np.multiply(total, self._grouped(phi, self._weights), out=self._weights)
         sample = np.empty(self._sums.total.shape, dtype=complex)
         starts = self._starts
 
         def put(k: int, row: np.ndarray) -> None:
             np.add.reduceat(row, starts, out=sample[k])
 
-        _phase_rows(*self._span, freqs, weighted[self._order], put)
+        _phase_rows(*self._span, freqs, weights, put, self._phase_work)
         self._sums.add(sample)
+
+    def _grouped(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """values in group order: themselves when the sites are in it
+        already, else gathered into `out`."""
+        if isinstance(self._order, slice):
+            return values
+        # the order is a permutation, so no index is clipped, and a clipping
+        # take writes into `out` without a buffered copy
+        return np.take(values, self._order, out=out, mode="clip")
 
     def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
         if not isinstance(self.shell, FixedShell):

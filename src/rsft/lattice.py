@@ -111,9 +111,10 @@ def omega(p, mass) -> np.ndarray:
     return np.sqrt(np.sum(p * p, axis=-1) + mass * mass)
 
 
-def effective_masses(shell: MassShell, phi: np.ndarray | None):
+def effective_masses(shell: MassShell, phi: np.ndarray | None, out: np.ndarray | None = None):
     """Mass parameter for every site: a scalar, or an (N,) array for the
-    locally dynamic shell.  Dynamic kinds require the field values."""
+    locally dynamic shell, written into `out` if given.  Dynamic kinds
+    require the field values."""
     if isinstance(shell, FixedShell):
         return shell.mass
     if phi is None:
@@ -121,6 +122,6 @@ def effective_masses(shell: MassShell, phi: np.ndarray | None):
     if isinstance(shell, GlobalDynamicShell):
         return abs(float(np.sum(phi)))
     if isinstance(shell, LocalDynamicShell):
-        return np.abs(phi)
+        return np.abs(phi, out=out)
     raise TypeError(f"unknown mass-shell kind: {shell!r}")
 

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ExtendedState
-from .estimators import BatchMeans
+from .estimators import BatchMeans, _SampleStream
 from .lattice import MomentumLattice, omega
 from .oracles import ExactCovariance
 
@@ -101,10 +100,11 @@ def gram_exact(
     return GramMatrix(_hermitize(matrix), zeros, zeros)
 
 
-class GramAccumulator:
+class GramAccumulator(_SampleStream):
     """Streaming Gram-matrix estimator over trajectory snapshots: batch means
     of the products conj(O_i[phi]) O_j[phi] of linear observables.  A
-    snapshot is a field array or a state, whose field it reads."""
+    snapshot is a field array, a state or a block of sampled coordinates;
+    each coordinate row is lifted to its field."""
 
     def __init__(self, observables: Sequence[LinearObservable], batch_len: int):
         if not observables:
@@ -112,13 +112,14 @@ class GramAccumulator:
         self.observables = list(observables)
         k = len(self.observables)
         self._acc = BatchMeans((k, k), batch_len, complex)
+        super().__init__(self._acc)
 
-    def add(self, sample) -> None:
-        phi = sample.phi if isinstance(sample, ExtendedState) else sample
+    def _add_site(self, phi: np.ndarray) -> None:
         values = np.array([obs.evaluate(phi) for obs in self.observables], dtype=complex)
         self._acc.add(np.outer(np.conj(values), values))
 
     def result(self) -> GramMatrix:
+        self._sum_buffer()
         matrix = _hermitize(self._acc.mean())
         se = self._acc.stderr()
         if se is None:

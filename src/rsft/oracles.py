@@ -22,8 +22,8 @@ import numpy as np
 from .action import MatterActionKind
 from .lattice import MomentumLattice, omega
 
-# Grid points times sites in one block of the oracle's phase angles: 2 MB
-# of angles, 4 MB of complex phases.
+# Elements in one block of the oracle's phases or site counts: 4 MB of
+# complex phases.
 PHASE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -64,23 +64,74 @@ def exact_covariance(kind: MatterActionKind, n_sites: int, beta: float) -> Exact
     )
 
 
-def _phase_sums(lattice: MomentumLattice, mass: float, points: np.ndarray, phase) -> np.ndarray:
-    """sum_p phase(omega(p) y0 - p . yvec) for each grid point (y0, yvec).
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    """exp(i angles) from the direct cos and sin of each angle."""
+    out = np.empty(angles.shape, dtype=complex)
+    out.real = np.cos(angles)
+    out.imag = np.sin(angles)
+    return out
 
-    The (G, N) angles are built a block of grid points at a time, so the
-    memory is O(PHASE_BLOCK_ELEMENTS) whatever the grid and the lattice.
+
+def _phase_sums(lattice: MomentumLattice, mass: float, points: np.ndarray) -> np.ndarray:
+    """sum_p exp(i(omega(p) y0 - p . yvec)) for each grid point (y0, yvec).
+
+    The phase of site p at a point factorises into exp(i omega_p y0), which
+    depends on p only through the float omega_p, and exp(-i p . yvec),
+    which depends on p only through its components on the axes where some
+    point moves.  So with counts[u, k] the number of sites of frequency
+    omega_u and moving-axes momentum p_k, the sums over the unique times t
+    and spatial points x of `points` are
+
+        (T, U) exp(i omega_u t) @ counts (U, K) @ (K, S) exp(-i p_k . x),
+
+    and each point gathers its entry.  The times, spatial points and
+    momentum keys are taken in blocks, so the memory is
+    O(PHASE_BLOCK_ELEMENTS) whatever the points and the lattice.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 4:
         raise ValueError("grid points must be rows (y0, y1, y2, y3)")
+    times, time_of = np.unique(points[:, 0], return_inverse=True)
+    spatial, spatial_of = np.unique(points[:, 1:], axis=0, return_inverse=True)
+    spatial_of = spatial_of.reshape(-1)
     momenta = lattice.site_momenta()
-    freqs = omega(momenta, mass)
-    rows = max(1, PHASE_BLOCK_ELEMENTS // freqs.size)
-    sums = [
-        phase(np.outer(block[:, 0], freqs) - block[:, 1:] @ momenta.T).sum(axis=1)
-        for block in (points[start : start + rows] for start in range(0, points.shape[0], rows))
-    ]
-    return np.concatenate(sums) if sums else np.zeros(0)
+    freqs, freq_of = np.unique(omega(momenta, mass), return_inverse=True)
+    # key of a site: its momentum components on the moving axes, numbered
+    # 0 .. K-1 in mixed radix, as the lattice holds every combination
+    moving = np.any(spatial != 0.0, axis=0)
+    key_of = np.zeros(momenta.shape[0], dtype=np.intp)
+    for axis in np.flatnonzero(moving):
+        values, value_of = np.unique(momenta[:, axis], return_inverse=True)
+        key_of = key_of * values.size + value_of
+    n_keys = int(key_of.max()) + 1
+    # sites in key order, so the sites of a run of keys are contiguous
+    by_key = np.argsort(key_of, kind="stable")
+    key_starts = np.searchsorted(key_of[by_key], np.arange(n_keys + 1))
+    keys = np.where(moving, momenta[by_key[key_starts[:-1]]], 0.0)
+
+    n_freqs = freqs.size
+    t_block = max(1, min(times.size, PHASE_BLOCK_ELEMENTS // n_freqs))
+    x_block = max(1, min(spatial.shape[0], PHASE_BLOCK_ELEMENTS // t_block))
+    k_block = max(1, PHASE_BLOCK_ELEMENTS // max(n_freqs, t_block, x_block))
+    sums = np.empty(points.shape[0], dtype=complex)
+    for t0 in range(0, times.size, t_block):
+        time_phases = _unit_phases(np.outer(times[t0 : t0 + t_block], freqs))
+        for x0 in range(0, spatial.shape[0], x_block):
+            x_slice = spatial[x0 : x0 + x_block]
+            tile = np.zeros((time_phases.shape[0], x_slice.shape[0]), dtype=complex)
+            for k0 in range(0, n_keys, k_block):
+                k1 = min(k0 + k_block, n_keys)
+                sites = by_key[key_starts[k0] : key_starts[k1]]
+                counts = np.bincount(
+                    freq_of[sites] * (k1 - k0) + key_of[sites] - k0,
+                    minlength=n_freqs * (k1 - k0),
+                ).reshape(n_freqs, k1 - k0)
+                space_phases = _unit_phases(-(keys[k0:k1] @ x_slice.T))
+                tile += (time_phases @ counts) @ space_phases
+            inside = (time_of >= t0) & (time_of < t0 + t_block)
+            inside &= (spatial_of >= x0) & (spatial_of < x0 + x_block)
+            sums[inside] = tile[time_of[inside] - t0, spatial_of[inside] - x0]
+    return sums
 
 
 def expected_correlator(
@@ -97,7 +148,7 @@ def expected_correlator(
     single phase sum over sites.
     """
     cov = exact_covariance(kind, lattice.site_count, beta)
-    return cov.row_sum() * _phase_sums(lattice, mass, points, lambda angles: np.exp(1j * angles))
+    return cov.row_sum() * _phase_sums(lattice, mass, points)
 
 
 def pauli_jordan_discrete(
@@ -109,7 +160,7 @@ def pauli_jordan_discrete(
     the centered lattice it vanishes identically at y0 = 0 by the p <-> -p
     pairing and is odd under y0 -> -y0 at yvec = 0.
     """
-    return _phase_sums(lattice, mass, points, np.sin) / beta
+    return _phase_sums(lattice, mass, points).imag / beta
 
 
 def smeared_commutator(

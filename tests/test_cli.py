@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from rsft import cli
 from rsft.cli import main
 from rsft.config import config_from_file
-from rsft.dynamics import init_state
+from rsft.dynamics import COORDINATE_BUFFER_LEN, init_state
 from rsft.storage import read_checkpoint
 
 BASE = """
@@ -375,8 +376,9 @@ class TestErrors:
 
 class TestObserverCadence:
     """The trajectory calls its observers every gcd(log_every,
-    checkpoint_every, thin_stride, equilibration_steps) steps; every output
-    equals the one of a run that calls them after every step."""
+    checkpoint_every) steps and hands the sampled coordinates over in one
+    block per stretch; every output equals the one of a run that calls its
+    observers, and hands over each sampled row, after every step."""
 
     @staticmethod
     def outputs(tmp_path, monkeypatch, stepwise):
@@ -385,8 +387,8 @@ class TestObserverCadence:
             monkeypatch.setattr(
                 cli.dynamics,
                 "run",
-                lambda state, params, n_steps, observers, every: step_run(
-                    state, params, n_steps, observers, 1
+                lambda state, params, n_steps, observers, every, sampling: step_run(
+                    state, params, n_steps, observers, 1, sampling
                 ),
             )
         out = tmp_path / "out"
@@ -418,3 +420,30 @@ class TestObserverCadence:
         assert ("half", "conservation_resume.csv") in coarse
         for key, data in stepwise.items():
             assert coarse[key] == data, key
+
+
+class TestSampledBlocks:
+    def test_observers_a_million_steps_apart_hand_over_bounded_blocks(self, tmp_path):
+        # observers every 10^6 steps and every step sampled: unbounded, the
+        # run's one stretch of 20 000 steps would hold 20 000 coordinate
+        # rows, about 2.7 MB
+        text = BASE.replace("dynamics.thin_stride = 10", "dynamics.thin_stride = 1")
+        text = text.replace("output.log_every = 1000", "output.log_every = 1000000")
+        text = text.replace("output.checkpoint_every = 5000", "output.checkpoint_every = 1000000")
+        text = text.replace("dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 20000")
+        cfg = config_from_file(write_config(tmp_path, text + f"output.dir = {tmp_path}\n"))
+        lengths = []
+
+        class Recorder:
+            def add(self, block):
+                lengths.append(len(block.rows))
+
+        tracemalloc.start()
+        try:
+            cli._run_trajectory(cfg, "simulate", [Recorder()])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(lengths) == 20_000
+        assert max(lengths) == COORDINATE_BUFFER_LEN
+        assert peak <= 150_000, peak

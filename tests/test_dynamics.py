@@ -1,12 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rsft.action import BathParams, MatterActionKind, extended_action
 from rsft.dynamics import (
+    COORDINATE_BUFFER_LEN,
     ExtendedState,
     IntegratorParams,
+    Sampling,
     StepFailureError,
     _advance,
+    _reduced_steps,
     flip_momenta,
     init_state,
     run,
@@ -404,3 +410,182 @@ class TestCoordinates:
 
         run(state, params, 50, [observer], every=10)
         assert len(seen) == 5 and max(seen) <= 1e-14
+
+
+def previous_reduced_steps(x, y, s, pi_s, s0, collective, dlambda, bath, n_steps):
+    """The subspace step function before it carried s^2, 1/s, h s and one
+    |y|^2 per step: the reference the current one must match bitwise."""
+    h = 0.5 * dlambda
+    m_s = bath.m_s
+    n_f_beta = bath.n_f / bath.beta
+    a = h / (2.0 * m_s)
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    g0 = collective * x0
+    s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
+    log_s = math.log(s)
+    for step in range(1, n_steps + 1):
+        kick = h * s
+        y0 -= kick * g0
+        y1 -= kick * x1
+        y2 -= kick * x2
+
+        kinetic = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
+        drive = 0.5 * kinetic - n_f_beta - s_m - n_f_beta * log_s + s0
+        b = pi_s + h * drive
+        disc = 1.0 + 4.0 * a * b
+        if disc < 0.0:
+            raise StepFailureError(
+                "bath-kick", f"negative discriminant {disc:.3e} in bath-momentum solve", step
+            )
+        pi_s_half = 2.0 * b / (1.0 + math.sqrt(disc))
+
+        c = dlambda * pi_s_half / (4.0 * m_s)
+        if not -1.0 < c < 1.0:
+            raise StepFailureError(
+                "scale-drift", f"scale-factor update out of range (c={c:.3e})", step
+            )
+        ratio = (1.0 + c) / (1.0 - c)
+        s_before = s
+        s = (s * ratio) * ratio
+        if not s > 0.0:
+            raise StepFailureError(
+                "scale-drift", f"scale factor became nonpositive ({s:.3e})", step
+            )
+        drift = h * (1.0 / s_before + 1.0 / s)
+        x0 += drift * y0
+        x1 += drift * y1
+        x2 += drift * y2
+
+        g0 = collective * x0
+        s_m = 0.5 * (g0 * x0 + x1 * x1 + x2 * x2)
+        log_s = math.log(s)
+        kinetic2 = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
+        s_x = 0.5 * kinetic2 + pi_s_half * pi_s_half / (2.0 * m_s) + s_m + n_f_beta * log_s
+        pi_s = pi_s_half + h * (kinetic2 - n_f_beta - (s_x - s0))
+
+        kick = h * s
+        y0 -= kick * g0
+        y1 -= kick * x1
+        y2 -= kick * x2
+    return (x0, x1, x2), (y0, y1, y2), s, pi_s
+
+
+class TestStepFunction:
+    """The subspace step function against a copy of its previous form."""
+
+    @staticmethod
+    def arguments(state, params, n_steps):
+        collective = 1.0 + params.action_kind.coupling * state.basis.shape[1]
+        return (
+            state.x, state.y, state.s, state.pi_s, state.s0, collective,
+            params.dlambda, params.bath, n_steps,
+        )
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    @pytest.mark.parametrize("n_per_axis, three", [(9, False), (5, True)])
+    def test_steps_bitwise_as_the_previous_kernel(self, kind, n_per_axis, three):
+        _, bath, params, state, rng = default_setup(n_per_axis=n_per_axis, kind=kind)
+        if three:
+            # a nonzero start field: all three coordinates move
+            phi = rng.normal(size=state.phi.shape)
+            s0 = extended_action(phi, state.pi_phi, state.s, state.pi_s, kind, bath)
+            state = ExtendedState.from_arrays(phi, state.pi_phi, state.s, state.pi_s, s0)
+        args = self.arguments(state, params, 30_000)
+        assert _reduced_steps(*args) == previous_reduced_steps(*args)
+
+    @pytest.mark.parametrize("kind, dlambda", [(COLLECTIVE, 50.0), (FREE, 1.0), (FREE, 5.0)])
+    def test_fails_as_the_previous_kernel(self, kind, dlambda):
+        _, bath, _, state, _ = default_setup(n_per_axis=3, kind=kind)
+        args = self.arguments(state, IntegratorParams(dlambda, bath, kind), 50)
+        with pytest.raises(StepFailureError) as now:
+            _reduced_steps(*args)
+        with pytest.raises(StepFailureError) as before:
+            previous_reduced_steps(*args)
+        assert (now.value.stage, now.value.step_index, str(now.value)) == (
+            before.value.stage, before.value.step_index, str(before.value)
+        )
+
+
+def stepwise_samples(state, params, n_steps, start, stride):
+    """(step_count, x) of every step the CLI sampling observer took when it
+    was called after each step: offset = step_count - start > 0 and a
+    multiple of stride."""
+    seen = []
+
+    def observe(live):
+        offset = live.step_count - start
+        if offset > 0 and offset % stride == 0:
+            seen.append((live.step_count, live.x))
+
+    return seen, run(state, params, n_steps, [observe])
+
+
+def recorded_samples(state, params, n_steps, start, stride, every):
+    """(step_count, x) of every row `run` hands over for Sampling(start,
+    stride), with the step_count each row's position implies, and the
+    blocks' lengths."""
+    blocks = []
+    final = run(
+        state, params, n_steps, every=every,
+        sampling=Sampling(start, stride, lambda block: blocks.append(block)),
+    )
+    rows = [row for block in blocks for row in block.rows]
+    first = Sampling(start, stride, None).next_after(state.step_count)
+    steps = range(first, first + stride * len(rows), stride)
+    assert all(block.basis is state.basis for block in blocks)
+    return list(zip(steps, rows)), [len(block.rows) for block in blocks], final
+
+
+class TestSampling:
+    """The step function records the coordinates of exactly the steps the
+    CLI sampled when it was called after each step, and `run` hands them
+    over in blocks of at most COORDINATE_BUFFER_LEN rows."""
+
+    @pytest.mark.parametrize(
+        "start, stride, begin, every",
+        [(25, 10, 0, 500), (0, 1, 0, 7), (40, 3, 5, 1), (7, 4, 13, 30), (0, 10, 0, 10**6)],
+        ids=["equilibration_off_stride", "stride_one", "every_step", "begins_past_start",
+             "one_stretch"],
+    )
+    def test_rows_are_the_stepwise_samples(self, start, stride, begin, every):
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        state = run(state, params, begin) if begin else state
+        want, reference = stepwise_samples(state, params, 600, start, stride)
+        got, lengths, final = recorded_samples(state, params, 600, start, stride, every)
+        assert got == want
+        assert max(lengths) <= COORDINATE_BUFFER_LEN
+        assert (final.x, final.y, final.s, final.pi_s) == (
+            reference.x, reference.y, reference.s, reference.pi_s
+        )
+
+    def test_a_stretch_inside_equilibration_records_nothing(self):
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        got, lengths, _ = recorded_samples(state, params, 200, 300, 10, 50)
+        assert got == [] and lengths == []
+        got, _, _ = recorded_samples(state, params, 320, 300, 10, 50)
+        assert [step for step, _ in got] == [310, 320]
+
+    def test_a_run_split_in_two_records_the_rows_of_one(self):
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        whole, _, _ = recorded_samples(state, params, 700, 33, 7, 100)
+        first, _, middle = recorded_samples(state, params, 345, 33, 7, 100)
+        second, _, _ = recorded_samples(middle, params, 355, 33, 7, 100)
+        assert first + second == whole
+
+    def test_a_huge_stretch_holds_at_most_a_buffer_of_rows(self):
+        # observers every 10^6 steps and every step sampled: unbounded, the
+        # one stretch of this run would hold 20 000 rows, about 2.7 MB of
+        # coordinate tuples
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        lengths = []
+        tracemalloc.start()
+        try:
+            run(state, params, 20_000, every=10**6,
+                sampling=Sampling(0, 1, lambda block: lengths.append(len(block.rows))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(lengths) == 20_000
+        assert max(lengths) == COORDINATE_BUFFER_LEN
+        assert peak <= 100_000, peak

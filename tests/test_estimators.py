@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from rsft import dynamics, estimators
 from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import ExtendedState, IntegratorParams, init_state, run
+from rsft.dynamics import ExtendedState, IntegratorParams, Sampling, init_state, run
 from rsft.estimators import (
     COORDINATE_BUFFER_LEN,
     MIN_BATCHES,
@@ -30,6 +30,7 @@ from rsft.lattice import (
     effective_masses,
     omega,
 )
+from rsft.operator_algebra import GramAccumulator, LinearObservable
 from rsft.oracles import exact_covariance, expected_correlator
 
 FREE = MatterActionKind.FREE
@@ -827,3 +828,84 @@ class TestCoordinatePath:
         acc.add(state)
         with pytest.raises(EstimatorError, match="eps"):
             acc.result()
+
+
+def every_accumulator(lattice, batch_len):
+    """One accumulator of each kind that takes sampled blocks: variance,
+    covariance, MGF, the fixed, global and local shell correlators, and
+    Gram."""
+    n = lattice.site_count
+    grid = GridSpec.plane(2.0, 5, 2.0, 4, axis=1)
+    rng = np.random.default_rng(8)
+    observables = [LinearObservable(rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(3)]
+    return [
+        VarianceAccumulator(n, batch_len),
+        CovarianceAccumulator((0, 3, 17, n - 1), batch_len),
+        MgfAccumulator(3, n - 1, 0.05, batch_len),
+        CorrelatorAccumulator(grid, lattice, FixedShell(1.0), batch_len),
+        CorrelatorAccumulator(grid, lattice, GlobalDynamicShell(), batch_len),
+        CorrelatorAccumulator(grid, lattice, LocalDynamicShell(), batch_len),
+        GramAccumulator(observables, batch_len),
+    ]
+
+
+def every_output(acc):
+    """Every array and count an accumulator reports."""
+    if isinstance(acc, GramAccumulator):
+        out = acc.result()
+        return (out.matrix, out.stderr_re, out.stderr_im), acc._acc.count
+    return reported(acc)
+
+
+class TestBlockPath:
+    """Blocks of sampled coordinates, as `run` hands them over, give the
+    bits of the same samples fed one state at a time."""
+
+    @pytest.mark.parametrize("every", [1000, 10**6], ids=["blocks_of_100", "blocks_of_256"])
+    @pytest.mark.parametrize("batch_len", [7, 1000])
+    def test_block_fed_equals_state_fed(self, batch_len, every):
+        lattice, params, state = trajectory(9, COLLECTIVE, seed=3)
+        by_state = every_accumulator(lattice, batch_len)
+        by_block = every_accumulator(lattice, batch_len)
+        cuts = []
+        add_block = by_block[0]._add_block
+        by_block[0]._add_block = lambda basis, coords: (
+            cuts.append(coords.shape[0]), add_block(basis, coords)
+        )
+
+        def observe(live):
+            if (live.step_count - state.step_count) % 10 == 0:
+                for acc in by_state:
+                    acc.add(live)
+
+        def take(block):
+            for acc in by_block:
+                acc.add(block)
+
+        # 1000 samples, every tenth step
+        run(state, params, 10_000, [observe])
+        start = Sampling(state.step_count, 10, take)
+        run(state, params, 10_000, every=every, sampling=start)
+        if batch_len == 1000:
+            assert cuts == [256, 256, 256, 232]
+        for mine, reference in zip(by_block, by_state):
+            (got, count), (want, want_count) = every_output(mine), every_output(reference)
+            assert count == want_count == 1000
+            for value, target in zip(got, want):
+                assert np.array_equal(value, target), type(mine).__name__
+
+    def test_local_shell_sample_allocates_no_site_array(self):
+        # the accumulator keeps its (N,) buffers: after the first sample,
+        # one more allocates only its (R, G) row sums
+        lattice = MomentumLattice(25, 0.1)
+        grid = GridSpec.plane(3.0, 21, 3.0, 21, axis=1)
+        samples = synthetic_free_samples(np.random.default_rng(38), lattice.site_count, 1.0, 2)
+        acc = CorrelatorAccumulator(grid, lattice, LocalDynamicShell(), batch_len=10)
+        acc.add(samples[0])
+        tracemalloc.start()
+        try:
+            acc.add(samples[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lattice.site_count * 8, peak

@@ -183,6 +183,53 @@ class TestExpectedCorrelator:
         np.testing.assert_allclose(coll_vals, free_vals / (lattice.site_count + 1), rtol=1e-12)
 
 
+    @staticmethod
+    def direct_sums(lattice, points):
+        """sum_p exp(i(omega_p y0 - p . yvec)) point by point."""
+        momenta = lattice.site_momenta()
+        freqs = omega(momenta, 1.0)
+        return np.array([np.exp(1j * (freqs * y[0] - momenta @ y[1:])).sum() for y in points])
+
+    @pytest.mark.parametrize("n_per_axis", [9, 25])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(-3.0, 3.0, 21), np.linspace(-3.0, 3.0, 20), 0.4 + 0.3 * np.arange(21)],
+        ids=["odd", "even", "off_zero"],
+    )
+    def test_factorised_sums_match_the_direct_sum(self, times, axis, n_per_axis):
+        lattice = MomentumLattice(n_per_axis, 0.1)
+        points = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 11, axis=axis).spatial).points()
+        direct = self.direct_sums(lattice, points)
+        got = expected_correlator(FREE, lattice, 1.0, 1.0, points)
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("n_per_axis", [9, 25])
+    def test_points_moving_on_every_axis_match_the_direct_sum(self, n_per_axis):
+        # every site is its own momentum key, and the points are no product
+        # grid: each has its own time
+        lattice = MomentumLattice(n_per_axis, 0.1)
+        points = np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 4))
+        direct = self.direct_sums(lattice, points)
+        got = expected_correlator(FREE, lattice, 1.0, 1.0, points)
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_memory_stays_bounded_with_every_axis_moving(self):
+        # 101 times by 21 points moving on all three axes at 25^3: a dense
+        # count of sites per frequency and momentum key would take 37 MB,
+        # a complex (T, N) phase array 25 MB; the blocks peak near 10 MB
+        lattice = MomentumLattice(25, 0.1)
+        spatial = np.random.default_rng(6).uniform(-3.0, 3.0, size=(21, 3))
+        points = GridSpec(np.linspace(-5.0, 5.0, 101), spatial).points()
+        tracemalloc.start()
+        try:
+            expected_correlator(COLLECTIVE, lattice, 1.0, 1.0, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * PHASE_BLOCK_ELEMENTS * 8
+
+
 class TestPauliJordan:
     def test_zero_at_origin(self):
         lattice = MomentumLattice(5, 0.1)
