@@ -65,7 +65,8 @@ def exact_covariance(kind: MatterActionKind, n_sites: int, beta: float) -> Exact
 
 
 def _unit_phases(angles: np.ndarray) -> np.ndarray:
-    """exp(i angles) from the direct cos and sin of each angle."""
+    """exp(i angles) from the direct cos and sin of each angle; the oracle
+    keeps its own, so it shares no code with the estimator it checks."""
     out = np.empty(angles.shape, dtype=complex)
     out.real = np.cos(angles)
     out.imag = np.sin(angles)
