@@ -469,6 +469,8 @@ def run(
         live.forget()
         if rows:
             sampling.take(CoordinateBlock(live.basis, rows))
-        for observer in observers:
-            observer(live)
+        # a stretch cut short by a full buffer is not an observer call
+        if live.step_count % every == 0 or live.step_count == end:
+            for observer in observers:
+                observer(live)
     return live

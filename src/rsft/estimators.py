@@ -336,30 +336,20 @@ def _time_step(times: np.ndarray) -> float:
     return float(times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
 
 
-def _unit_phase(angles: np.ndarray, out=None, part=None) -> np.ndarray:
-    """cos(angles) + i sin(angles), from real cos and sin, into `out` if
-    given.
+def _unit_phase(angles: np.ndarray) -> np.ndarray:
+    """cos(angles) + i sin(angles), from real cos and sin.
 
     These give the bits of np.exp(1j * angles), and unlike numpy's complex
     exp they are not slowed about tenfold after a complex matmul (measured
-    with OpenBLAS 0.3.31).  Each of cos and sin is formed in a contiguous
-    real array, `part` if given, before it is copied into its strided half
-    of the output, so a kept buffer gives the bits of a fresh one.
+    with OpenBLAS 0.3.31).
     """
-    phase = np.empty(angles.shape, dtype=complex) if out is None else out
-    part = np.empty(angles.shape) if part is None else part
-    phase.real = np.cos(angles, out=part)
-    phase.imag = np.sin(angles, out=part)
+    phase = np.empty(angles.shape, dtype=complex)
+    phase.real = np.cos(angles)
+    phase.imag = np.sin(angles)
     return phase
 
 
-def _phase_work(n: int) -> tuple[np.ndarray, ...]:
-    """The (N,) buffers of `_phase_rows`: angles and a real part, then the
-    start, step and running rows."""
-    return (np.empty(n), np.empty(n)) + tuple(np.empty(n, dtype=complex) for _ in range(3))
-
-
-def _phase_rows(anchor_time, dt, before, after, freqs, weights, put, work=None) -> None:
+def _phase_rows(anchor_time, dt, before, after, freqs, weights, put) -> None:
     """put(before + j, row) for j = -before .. after, where row is
     weights * exp(i (anchor_time + j dt) freqs).
 
@@ -370,23 +360,17 @@ def _phase_rows(anchor_time, dt, before, after, freqs, weights, put, work=None) 
     N real cos and N real sin (twice that when the anchor time is not 0)
     however many there are, and the round-off grows by about one ulp per
     row away from the anchor.  Each row is formed in an (N,) buffer that
-    put must not keep; `work` (from `_phase_work`) holds them across calls,
-    and fresh ones are made without it.  With real weights and anchor time
-    0, row -j is bitwise the conjugate of row j.
+    put must not keep.  With real weights and anchor time 0, row -j is
+    bitwise the conjugate of row j.
     """
-    angles, part, start, step, row = _phase_work(np.size(freqs)) if work is None else work
+    start = np.empty(np.shape(freqs), dtype=complex)
     if anchor_time == 0.0:
         start[...] = weights
     else:
-        np.multiply(anchor_time, freqs, out=angles)
-        np.multiply(weights, _unit_phase(angles, step, part), out=start)
-    np.multiply(dt, freqs, out=angles)
-    _unit_phase(angles, step, part)
+        np.multiply(weights, _unit_phase(anchor_time * freqs), out=start)
+    step = _unit_phase(dt * freqs)
     put(before, start)
-    if before:
-        np.copyto(row, start)
-    else:
-        row = start
+    row = start.copy() if before else start
     for k in range(before + 1, before + after + 1):
         np.multiply(row, step, out=row)
         put(k, row)
@@ -532,11 +516,6 @@ class CorrelatorAccumulator(_SampleStream):
             # nothing: at 25^3 a burst of 10 rows took about three times the
             # minor page faults of rows taken as they come (glibc malloc).
             self._block_len = 1
-            # (N,) buffers every sample writes into: the frequencies in site
-            # order, then the frequencies and weights in group order
-            n_sites = momenta.shape[0]
-            self._site_freqs, self._freqs, self._weights = (np.empty(n_sites) for _ in range(3))
-            self._phase_work = _phase_work(n_sites)
             self._sums = BatchMeans(
                 (n_rows, self._starts.size), batch_len, complex, project=self._on_grid
             )
@@ -550,36 +529,22 @@ class CorrelatorAccumulator(_SampleStream):
         return grid @ self._group_phase
 
     def _add_site(self, phi: np.ndarray) -> None:
-        total = float(np.sum(phi))
+        weighted = float(np.sum(phi)) * phi
         if isinstance(self.shell, FixedShell):
-            self._sums.add(total * phi)
+            self._sums.add(weighted)
             return
-        site_freqs = self._site_freqs
-        # the frequencies replace the masses in their buffer; the one mass
-        # of a global shell is squared as a scalar
-        masses = effective_masses(self.shell, phi, out=site_freqs)
-        squares = np.multiply(masses, masses, out=site_freqs if np.ndim(masses) else None)
-        np.add(self._p_squared, squares, out=site_freqs)
-        np.sqrt(site_freqs, out=site_freqs)
-        freqs = self._grouped(site_freqs, self._freqs)
-        weights = np.multiply(total, self._grouped(phi, self._weights), out=self._weights)
+        # the frequencies replace the masses, so a local shell's (N,) masses
+        # are freed before the rows are formed
+        freqs = effective_masses(self.shell, phi)
+        freqs = np.sqrt(self._p_squared + freqs * freqs)[self._order]
         sample = np.empty(self._sums.total.shape, dtype=complex)
         starts = self._starts
 
         def put(k: int, row: np.ndarray) -> None:
             np.add.reduceat(row, starts, out=sample[k])
 
-        _phase_rows(*self._span, freqs, weights, put, self._phase_work)
+        _phase_rows(*self._span, freqs, weighted[self._order], put)
         self._sums.add(sample)
-
-    def _grouped(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """values in group order: themselves when the sites are in it
-        already, else gathered into `out`."""
-        if isinstance(self._order, slice):
-            return values
-        # the order is a permutation, so no index is clipped, and a clipping
-        # take writes into `out` without a buffered copy
-        return np.take(values, self._order, out=out, mode="clip")
 
     def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
         if not isinstance(self.shell, FixedShell):

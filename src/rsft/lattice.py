@@ -111,10 +111,9 @@ def omega(p, mass) -> np.ndarray:
     return np.sqrt(np.sum(p * p, axis=-1) + mass * mass)
 
 
-def effective_masses(shell: MassShell, phi: np.ndarray | None, out: np.ndarray | None = None):
+def effective_masses(shell: MassShell, phi: np.ndarray | None):
     """Mass parameter for every site: a scalar, or an (N,) array for the
-    locally dynamic shell, written into `out` if given.  Dynamic kinds
-    require the field values."""
+    locally dynamic shell.  Dynamic kinds require the field values."""
     if isinstance(shell, FixedShell):
         return shell.mass
     if phi is None:
@@ -122,6 +121,6 @@ def effective_masses(shell: MassShell, phi: np.ndarray | None, out: np.ndarray |
     if isinstance(shell, GlobalDynamicShell):
         return abs(float(np.sum(phi)))
     if isinstance(shell, LocalDynamicShell):
-        return np.abs(phi, out=out)
+        return np.abs(phi)
     raise TypeError(f"unknown mass-shell kind: {shell!r}")
 

@@ -589,3 +589,13 @@ class TestSampling:
         assert sum(lengths) == 20_000
         assert max(lengths) == COORDINATE_BUFFER_LEN
         assert peak <= 100_000, peak
+
+    def test_a_full_buffer_calls_no_observer(self):
+        # the stretches cut at 256 sampled rows end between observer steps:
+        # the observers run only after the last step
+        _, _, params, state, _ = default_setup(n_per_axis=5)
+        called, lengths = [], []
+        run(state, params, 2_000, [lambda live: called.append(live.step_count)],
+            every=10**6, sampling=Sampling(0, 1, lambda block: lengths.append(len(block.rows))))
+        assert len(lengths) == 8
+        assert called == [2_000]

@@ -893,19 +893,3 @@ class TestBlockPath:
             assert count == want_count == 1000
             for value, target in zip(got, want):
                 assert np.array_equal(value, target), type(mine).__name__
-
-    def test_local_shell_sample_allocates_no_site_array(self):
-        # the accumulator keeps its (N,) buffers: after the first sample,
-        # one more allocates only its (R, G) row sums
-        lattice = MomentumLattice(25, 0.1)
-        grid = GridSpec.plane(3.0, 21, 3.0, 21, axis=1)
-        samples = synthetic_free_samples(np.random.default_rng(38), lattice.site_count, 1.0, 2)
-        acc = CorrelatorAccumulator(grid, lattice, LocalDynamicShell(), batch_len=10)
-        acc.add(samples[0])
-        tracemalloc.start()
-        try:
-            acc.add(samples[1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < lattice.site_count * 8, peak
