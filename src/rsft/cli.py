@@ -124,9 +124,10 @@ def _sampling_observer(accumulators):
 def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_from=None):
     """Advance a trajectory to the configured total with the conservation
     log, periodic checkpoints and the sampled accumulators attached, then
-    write the final checkpoint.  A fresh trajectory starts from the seeded
-    initial state and logs its step-0 row; `resume_from` is a checkpointed
-    (state, rng) pair, logged to its own file."""
+    write the final checkpoint unless the periodic one holds it.  A fresh
+    trajectory starts from the seeded initial state and logs its step-0
+    row; `resume_from` is a checkpointed (state, rng) pair, logged to its
+    own file."""
     bath = cfg.bath()
     kind = cfg.matter_action_kind()
     params = cfg.integrator_params()
@@ -151,10 +152,12 @@ def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_fro
         # both observers act only at multiples of these, so run calls them
         # at multiples of their gcd
         every = math.gcd(cfg.log_every, cfg.checkpoint_every)
-        final = dynamics.run(
-            state, params, cfg.total_steps - state.step_count, observers, every, sampling
-        )
-        storage.write_checkpoint(ckpt_path, final, rng, _checkpoint_physics(cfg))
+        n_steps = cfg.total_steps - state.step_count
+        final = dynamics.run(state, params, n_steps, observers, every, sampling)
+        # after a last step at a multiple of checkpoint_every, the periodic
+        # observer has just written this state
+        if n_steps == 0 or final.step_count % cfg.checkpoint_every:
+            storage.write_checkpoint(ckpt_path, final, rng, _checkpoint_physics(cfg))
     return final, log.max_abs_total_action
 
 

@@ -13,6 +13,8 @@ identity checks cost O(d^2 dim) rather than dense dim^3 products.
 Identities that truncation breaks are asserted on the interior subspace
 (total occupation at most n_max - 1), where its artifacts vanish
 identically; their products are applied to the interior columns alone.
+Commutators are applied to runs of identity columns and their maxima
+combined, so no check holds more than the O(d * dim) ladders themselves.
 """
 
 from __future__ import annotations
@@ -32,14 +34,19 @@ ALGEBRA_TOL = 1e-12
 ORACLE_NULLSPACE_TOL = 1e-10
 COORD_RESIDUAL_RTOL = 1e-8
 FOCK_DIMENSION_LIMIT = 20_000
-# The identity checks apply two ladder combinations to identity columns, and
-# each application builds (d x entries) candidate arrays, so their memory
-# grows with d^2 * dim, which the dimension limit does not bound.  Peak RSS
-# of `fock-check` measured 57 MB at d = 60, n_max = 2 (d^2 dim = 6.8e6),
-# 125 MB at d = 100 (5.2e7) and 174 MB at d = 117 (9.6e7), under 2 bytes per
-# unit over a 50 MB floor.  Higher n_max costs more per unit, but the
-# dimension limit caps it: d = 47, n_max = 3 (dim 19 600) measured 251 MB.
+# The identity checks apply two ladder combinations to columns of the
+# identity, up to about d^2 * dim candidate entries in all.  They are formed
+# in runs of columns (PRODUCT_BLOCK_ENTRIES below), so the products bound
+# the time, not the memory: at the limit, d = 117, n_max = 2 (d^2 dim =
+# 9.6e7) took 0.6 s, and the largest n_max = 3 space, d = 47 (dim 19 600,
+# 4.3e7), 1.1 s.  The memory follows the O(d * dim) index maps and the
+# one-ladder checks: peak RSS of `fock-check` measured 48 MB at d = 60,
+# n_max = 2, 81 MB at d = 100, 105 MB at d = 117 and 119 MB at d = 47,
+# n_max = 3.
 FOCK_PRODUCT_LIMIT = 100_000_000
+# Candidate entries that the four ladder applications of one run of
+# identity columns may form in a commutator check.
+PRODUCT_BLOCK_ENTRIES = 1 << 14
 
 
 class AlgebraError(ValueError):
@@ -396,9 +403,26 @@ class LadderOperator:
         target = rep._maps.take(at)
         kept = np.flatnonzero(target >= 0)
         entry = kept % operand.rows.size
-        scaled = coeffs[:, None] * rep._amplitudes.reshape(coeffs.size, rep.dim)
-        values = scaled.take(at.take(kept)) * operand.values.take(entry)
+        at = at.take(kept)
+        # coefficient times amplitude gathered per kept entry: the product a
+        # (2d, dim) table of them would hold, without the table
+        values = coeffs.take(at // rep.dim) * rep._amplitudes.take(at) * operand.values.take(entry)
         return SparseOperand(target.take(kept), operand.cols.take(entry), values)
+
+    @property
+    def width(self) -> int:
+        """Candidate entries formed per operand entry: the nonzero coefficients."""
+        return np.count_nonzero(self.raising) + np.count_nonzero(self.lowering)
+
+    def kept_per_column(self, columns: np.ndarray) -> np.ndarray:
+        """Entries kept from each of the identity's columns at the given
+        basis indices: the candidates whose step stays in the truncation."""
+        coeffs = np.concatenate((self.raising, self.lowering))
+        maps = self.rep._maps.reshape(coeffs.size, self.rep.dim)
+        kept = np.zeros(columns.size, dtype=np.int64)
+        for index in np.flatnonzero(coeffs):
+            kept += maps[index].take(columns) >= 0
+        return kept
 
 
 def _one_particle(v: np.ndarray, rep: FockRep) -> np.ndarray:
@@ -450,6 +474,37 @@ def _commutator(
     return SparseOperand.concatenate(parts)
 
 
+def _commutator_deviation(
+    op_a: LadderOperator,
+    op_b: LadderOperator,
+    columns: np.ndarray,
+    expected: complex | None = None,
+    within: np.ndarray | None = None,
+) -> float:
+    """Largest |matrix element| of `_commutator(op_a, op_b, columns,
+    expected)`, over the (within, within) block when basis indices are
+    given, taken over runs of the columns whose four ladder applications
+    form at most PRODUCT_BLOCK_ENTRIES candidate entries (a column that
+    alone forms more is its own run).  Every entry lies in the column it
+    was applied to, and a run keeps its columns' entries in order, so each
+    matrix element sums as over all columns at once, bit for bit, and the
+    largest over the runs is the largest over all."""
+    cost = (
+        op_a.width * (1 + op_b.kept_per_column(columns))
+        + op_b.width * (1 + op_a.kept_per_column(columns))
+    )
+    before = np.concatenate(([0], np.cumsum(cost)))
+    deviations, start = [], 0
+    while start < columns.size:
+        stop = int(np.searchsorted(before, before[start] + PRODUCT_BLOCK_ENTRIES, "right")) - 1
+        stop = max(stop, start + 1)
+        deviations.append(
+            _commutator(op_a, op_b, columns[start:stop], expected).max_abs(within)
+        )
+        start = stop
+    return float(np.max(deviations, initial=0.0))
+
+
 def commutator_check(
     obs_a: LinearObservable,
     obs_b: LinearObservable,
@@ -462,7 +517,7 @@ def commutator_check(
     op_a = field_operator(obs_a, context, rep)
     op_b = field_operator(obs_b, context, rep)
     expected = 2j * np.imag(context.inner_product(obs_a, obs_b))
-    return _commutator(op_a, op_b, interior, expected).max_abs(within=interior)
+    return _commutator_deviation(op_a, op_b, interior, expected, within=interior)
 
 
 @dataclass(frozen=True)
@@ -636,11 +691,11 @@ def algebra_report(
     a_u, a_w = annihilation_operator(u, rep), annihilation_operator(w, rep)
     c_u, c_w = creation_operator(u, rep), creation_operator(w, rep)
     full = np.arange(rep.dim)
-    mixed = _commutator(a_u, c_w, interior, complex(np.vdot(u, w)))
+    mixed = _commutator_deviation(a_u, c_w, interior, complex(np.vdot(u, w)), within=interior)
     results += [
-        CheckResult("ccr_annihilation_pair", _commutator(a_u, a_w, full).max_abs(), ALGEBRA_TOL),
-        CheckResult("ccr_creation_pair", _commutator(c_u, c_w, full).max_abs(), ALGEBRA_TOL),
-        CheckResult("ccr_mixed", mixed.max_abs(within=interior), ALGEBRA_TOL),
+        CheckResult("ccr_annihilation_pair", _commutator_deviation(a_u, a_w, full), ALGEBRA_TOL),
+        CheckResult("ccr_creation_pair", _commutator_deviation(c_u, c_w, full), ALGEBRA_TOL),
+        CheckResult("ccr_mixed", mixed, ALGEBRA_TOL),
     ]
 
     # Lowering ladders rebuilt from first principles, looked up in the

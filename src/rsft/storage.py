@@ -185,16 +185,23 @@ def _write_header(handle: TextIO, header_items: Sequence[tuple[str, str]]) -> No
 def emit_correlator_csv(
     grid: CorrelatorGrid, path, header_items: Sequence[tuple[str, str]] = ()
 ) -> None:
-    """One row per grid point, in grid-spec order."""
+    """One row per grid point, in grid-spec order.  The values are formatted
+    a row at a time by one template, as `format_float` formats each."""
+    missing = np.full(grid.points.shape[0], np.nan)
+    columns = np.column_stack(
+        (
+            grid.points,
+            grid.values.real,
+            grid.values.imag,
+            missing if grid.stderr_re is None else grid.stderr_re,
+            missing if grid.stderr_im is None else grid.stderr_im,
+        )
+    )
+    row = ",".join(["%.17g"] * columns.shape[1]) + "," + grid.source.replace("%", "%%") + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         _write_header(handle, header_items)
         handle.write("y0,y1,y2,y3,re_mean,im_mean,re_stderr,im_stderr,source\n")
-        for g in range(grid.points.shape[0]):
-            point = grid.points[g]
-            se_re = grid.stderr_re[g] if grid.stderr_re is not None else float("nan")
-            se_im = grid.stderr_im[g] if grid.stderr_im is not None else float("nan")
-            fields = [format_float(v) for v in (*point, grid.values[g].real, grid.values[g].imag, se_re, se_im)]
-            handle.write(",".join(fields) + f",{grid.source}\n")
+        handle.writelines(row % tuple(values) for values in columns.tolist())
 
 
 def emit_table_csv(

@@ -179,6 +179,53 @@ class TestResume:
         assert "beyond" in capsys.readouterr().err
 
 
+def record_checkpoint_writes(monkeypatch):
+    """The step count of every checkpoint the CLI writes, in order."""
+    steps = []
+    write = cli.storage.write_checkpoint
+
+    def recorded(path, state, rng, physics):
+        steps.append(state.step_count)
+        write(path, state, rng, physics)
+
+    monkeypatch.setattr(cli.storage, "write_checkpoint", recorded)
+    return steps
+
+
+class TestCheckpointWrites:
+    @pytest.mark.parametrize("sampling, writes", [(8000, [5000, 10000]), (7000, [5000, 9000])])
+    def test_each_state_is_written_once(self, tmp_path, monkeypatch, sampling, writes):
+        text = BASE.replace("dynamics.sampling_steps = 8000", f"dynamics.sampling_steps = {sampling}")
+        cfg = write_config(tmp_path, text + f"output.dir = {tmp_path}/out\n")
+        steps = record_checkpoint_writes(monkeypatch)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert steps == writes
+        state, _ = read_checkpoint(
+            tmp_path / "out" / "checkpoint.ckpt", cli._checkpoint_physics(config_from_file(cfg))
+        )
+        assert state.step_count == writes[-1]
+
+    def test_zero_step_simulate_writes_its_checkpoint(self, tmp_path, monkeypatch):
+        zero = BASE.replace(
+            "dynamics.equilibration_steps = 2000", "dynamics.equilibration_steps = 0"
+        ).replace("dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 0")
+        cfg = write_config(tmp_path, zero + f"output.dir = {tmp_path}/out\n")
+        steps = record_checkpoint_writes(monkeypatch)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert steps == [0]
+        assert (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+    def test_resume_at_the_configured_total_writes_its_checkpoint(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        source = tmp_path / "out" / "checkpoint.ckpt"
+        steps = record_checkpoint_writes(monkeypatch)
+        again = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/again\n", "again.cfg")
+        assert main(["resume", "--config", again, "--checkpoint", str(source)]) == 0
+        assert steps == [10000]
+        assert (tmp_path / "again" / "checkpoint.ckpt").read_bytes() == source.read_bytes()
+
+
 class TestCorrelator:
     def test_emits_mc_and_oracle_grids(self, tmp_path):
         cfg = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/out\n")

@@ -237,7 +237,7 @@ class TestFockBasis:
 
     def test_products_beyond_the_bound_are_rejected(self):
         # dim 19 900 is within the dimension limit, but the identity checks
-        # would hold about d^2 * dim = 7.8e8 entries
+        # would form about d^2 * dim = 7.8e8 candidate entries
         with pytest.raises(AlgebraError, match="d\\^2 \\* dim"):
             FockRep.build(198, 2)
 
@@ -771,8 +771,9 @@ class TestInteriorColumns:
         np.testing.assert_array_equal(part.values[inside].view(float), full.values[block].view(float))
 
     def test_commutator_check_memory_follows_the_interior(self):
-        # Applied to all 364 columns of the identity, the products and the
-        # duplicate sum peaked at 2.0 MB; on the 78 interior columns, 1.0 MB.
+        # Applied to all 364 columns of the identity at once, the products
+        # and the duplicate sum peaked at 2.0 MB; on the 78 interior
+        # columns, 1.0 MB; on runs of them, 0.34 MB.
         context = random_context(11, 5)
         rep = FockRep.build(11, 3)
         obs_a, obs_b = context.observables[:2]
@@ -783,7 +784,67 @@ class TestInteriorColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert peak < 0.5 * 2**20
+
+
+def count_commutator_runs(monkeypatch):
+    """Record the columns and entries of every `_commutator` call."""
+    runs = []
+    commutator = operator_algebra._commutator
+
+    def recorded(op_a, op_b, columns, expected=None):
+        result = commutator(op_a, op_b, columns, expected)
+        runs.append((columns.size, result.rows.size))
+        return result
+
+    monkeypatch.setattr(operator_algebra, "_commutator", recorded)
+    return runs
+
+
+class TestColumnRuns:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, n_max", REFERENCE_SHAPES)
+    def test_one_column_per_run_gives_the_bits_of_one_run(self, d, n_max, seed, monkeypatch):
+        context = random_context(d, seed)
+        rep = FockRep.build(d, n_max)
+        runs = count_commutator_runs(monkeypatch)
+        monkeypatch.setattr(operator_algebra, "PRODUCT_BLOCK_ENTRIES", 2**62)
+        whole = algebra_report(context, rep, rng_seed=seed)
+        assert len(runs) == 4  # both ladder pairs, the mixed pair and the fields
+        monkeypatch.setattr(operator_algebra, "PRODUCT_BLOCK_ENTRIES", 1)
+        del runs[:]
+        single = algebra_report(context, rep, rng_seed=seed)
+        interior = rep.interior_indices().size
+        assert [columns for columns, _ in runs] == [1] * (interior + 2 * rep.dim + interior)
+        assert [r.name for r in single] == [r.name for r in whole]
+        for got, want in zip(single, whole):
+            assert bits(got.deviation) == bits(want.deviation), got.name
+
+    @pytest.mark.parametrize("d, n_max", [(5, 8), (11, 3), (47, 1)])
+    def test_runs_hold_at_most_the_block_entries(self, d, n_max, monkeypatch):
+        context = random_context(d, 3)
+        rep = FockRep.build(d, n_max)
+        runs = count_commutator_runs(monkeypatch)
+        monkeypatch.setattr(operator_algebra, "PRODUCT_BLOCK_ENTRIES", 2**10)
+        algebra_report(context, rep, rng_seed=3)
+        assert any(columns > 1 for columns, _ in runs)
+        # entries are the candidates kept, plus one expected value per column
+        assert all(columns == 1 or entries <= 2**10 + columns for columns, entries in runs)
+
+    def test_report_memory_is_bounded(self):
+        # The deep benchmark shape: with every commutator applied to all its
+        # columns at once the report peaked at 7.9 MiB, the field
+        # commutator's 158 k entries most of it; on runs of columns, 2.2 MiB.
+        context = random_context(5, 5)
+        rep = FockRep.build(5, 8)
+        algebra_report(context, rep)
+        tracemalloc.start()
+        try:
+            algebra_report(context, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestMicrocausality:

@@ -207,6 +207,20 @@ class TestCheckpoint:
             read_checkpoint(path, PHYSICS)
 
 
+def emit_correlator_csv_per_value(grid, path, header_items=()):
+    """`emit_correlator_csv` as it formatted each value on its own."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for key, value in header_items:
+            handle.write(f"# {key} = {value}\n")
+        handle.write("y0,y1,y2,y3,re_mean,im_mean,re_stderr,im_stderr,source\n")
+        for g in range(grid.points.shape[0]):
+            point = grid.points[g]
+            se_re = grid.stderr_re[g] if grid.stderr_re is not None else float("nan")
+            se_im = grid.stderr_im[g] if grid.stderr_im is not None else float("nan")
+            values = (*point, grid.values[g].real, grid.values[g].imag, se_re, se_im)
+            handle.write(",".join(format_float(v) for v in values) + f",{grid.source}\n")
+
+
 class TestCsvEmission:
     def one_point_grid(self):
         return CorrelatorGrid(
@@ -243,6 +257,27 @@ class TestCsvEmission:
         emit_correlator_csv(grid, first, header)
         emit_correlator_csv(grid, second, header)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("with_stderr", [True, False])
+    def test_rows_are_the_bytes_of_per_value_formatting(self, tmp_path, with_stderr):
+        special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072e-310, 1 / 3, -1e300]
+        rng = np.random.default_rng(4)
+        count = 3 * len(special)
+        points = rng.normal(size=(count, 4))
+        values = rng.normal(size=count) + 1j * rng.normal(size=count)
+        stderr = np.abs(rng.normal(size=(2, count)))
+        for column in (points[:, 0], points[:, 3], stderr[0], stderr[1]):
+            column[: len(special)] = special
+        values.real[len(special) : 2 * len(special)] = special
+        values.imag[2 * len(special) :] = special
+        points[:, 1] = np.arange(count) - 7  # integral points
+        grid = CorrelatorGrid(
+            points, values, *(stderr if with_stderr else (None, None)), "mc", count
+        )
+        header = [("seed", "1")]
+        emit_correlator_csv(grid, tmp_path / "rows.csv", header)
+        emit_correlator_csv_per_value(grid, tmp_path / "values.csv", header)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
     def test_header_comments_carry_config(self, tmp_path):
         path = tmp_path / "grid.csv"
