@@ -404,8 +404,8 @@ class LadderOperator:
         kept = np.flatnonzero(target >= 0)
         entry = kept % operand.rows.size
         at = at.take(kept)
-        # coefficient times amplitude gathered per kept entry: the product a
-        # (2d, dim) table of them would hold, without the table
+        # coefficient times amplitude for the kept entries alone, so a call
+        # costs O(entries) and not O(d * dim)
         values = coeffs.take(at // rep.dim) * rep._amplitudes.take(at) * operand.values.take(entry)
         return SparseOperand(target.take(kept), operand.cols.take(entry), values)
 

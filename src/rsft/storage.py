@@ -197,7 +197,7 @@ def emit_correlator_csv(
             missing if grid.stderr_im is None else grid.stderr_im,
         )
     )
-    row = ",".join(["%.17g"] * columns.shape[1]) + "," + grid.source.replace("%", "%%") + "\n"
+    row = ",".join(["%.17g"] * columns.shape[1]) + f",{grid.source}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         _write_header(handle, header_items)
         handle.write("y0,y1,y2,y3,re_mean,im_mean,re_stderr,im_stderr,source\n")

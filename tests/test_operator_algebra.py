@@ -833,8 +833,8 @@ class TestColumnRuns:
 
     def test_report_memory_is_bounded(self):
         # The deep benchmark shape: with every commutator applied to all its
-        # columns at once the report peaked at 7.9 MiB, the field
-        # commutator's 158 k entries most of it; on runs of columns, 2.2 MiB.
+        # columns at once the report peaked at 7.9 MiB; on runs of columns,
+        # 2.2 MiB.
         context = random_context(5, 5)
         rep = FockRep.build(5, 8)
         algebra_report(context, rep)
