@@ -10,6 +10,7 @@ machine-readable `error: ...` line on stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -460,7 +461,10 @@ def cmd_microcausality(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` keeps no
+    state between calls, as each returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="rsft",
         description=(

@@ -86,12 +86,13 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _lift(basis: np.ndarray, coords) -> np.ndarray:
-    """Q coords as a new site array, summed row by row so that the same
-    basis and coordinates give the same bits on any BLAS."""
-    out = coords[0] * basis[0]
+def _lift(basis: np.ndarray, coords, out=None, scratch=None) -> np.ndarray:
+    """Q coords as a site array, summed row by row so that the same basis
+    and coordinates give the same bits on any BLAS; in out, with each
+    product in scratch, if they are given, else in new arrays."""
+    out = np.multiply(coords[0], basis[0], out=out)
     for j in range(1, basis.shape[0]):
-        out += coords[j] * basis[j]
+        out += np.multiply(coords[j], basis[j], out=scratch)
     return out
 
 

@@ -18,7 +18,7 @@ samples is summed at once into the same site-form batch sums that fields
 feed (`_SampleStream`).  The variance, covariance, MGF and fixed-shell
 correlator accumulators sum a block on its coordinates and map the sum to
 sites through Q, so they never build a field; a dynamic-shell correlator
-takes blocks of one state and lifts each to its field.
+lifts each row of a block to its field, in buffers the block shares.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class _SampleStream:
     field.  The rows of a block are appended to a buffer, and no field is
     read.  `_add_block(basis, coords)` adds the site-form sum of the
     buffered (b, k) coordinates to the open batch when the buffer holds
-    `_block_len` rows or fills the open batch of `batches` (an
+    COORDINATE_BUFFER_LEN rows or fills the open batch of `batches` (an
     accumulator's batch sums all close together), when a block in another
     basis object or a site sample comes, and before a result is read.  So
     a block is cut at the same rows whatever blocks its rows came in, every
@@ -145,9 +145,6 @@ class _SampleStream:
     The default `_add_block` lifts each row to its field, bitwise the phi of
     a stepped state, and adds it as a site sample.
     """
-
-    # rows a block takes at most
-    _block_len = COORDINATE_BUFFER_LEN
 
     def __init__(self, batches: BatchMeans):
         self._batches = batches
@@ -169,7 +166,7 @@ class _SampleStream:
         taken = 0
         while taken < len(rows):
             if not buffer:  # a block starts after every sum and site sample
-                self._room = min(self._block_len, self._batches.room)
+                self._room = min(COORDINATE_BUFFER_LEN, self._batches.room)
             more = min(self._room - len(buffer), len(rows) - taken)
             buffer.extend(rows[taken : taken + more])
             taken += more
@@ -336,20 +333,59 @@ def _time_step(times: np.ndarray) -> float:
     return float(times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
 
 
-def _unit_phase(angles: np.ndarray) -> np.ndarray:
-    """cos(angles) + i sin(angles), from real cos and sin.
+def _unit_phase(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(angles) + i sin(angles), from real cos and sin, in out if given.
 
-    These give the bits of np.exp(1j * angles), and unlike numpy's complex
-    exp they are not slowed about tenfold after a complex matmul (measured
-    with OpenBLAS 0.3.31).
+    These give the bits of np.exp(1j * angles), which costs more and slows
+    about twentyfold after a complex matmul (OpenBLAS 0.3.31).  Still,
+    numpy runs float64 cos and sin on scalar libm: about 150 us each over
+    15 625 angles on a 2-vCPU Xeon VM, against about 40 us for its
+    vectorised tan.  So this form serves the group phases, a fixed shell's
+    rows and an anchor phase, and the step of `_phase_rows` takes one
+    tangent per angle instead (`_tangent_phase`).
     """
-    phase = np.empty(angles.shape, dtype=complex)
-    phase.real = np.cos(angles)
-    phase.imag = np.sin(angles)
+    phase = np.empty(angles.shape, dtype=complex) if out is None else out
+    np.cos(angles, out=phase.real)
+    np.sin(angles, out=phase.imag)
     return phase
 
 
-def _phase_rows(anchor_time, dt, before, after, freqs, weights, put) -> None:
+def _tangent_phase(freqs, dt: float, out: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """exp(i dt freqs) in out, from t = tan(dt freqs / 2) in tangent:
+    cos = 2 / (1 + t^2) - 1 and sin = 2 t / (1 + t^2).
+
+    Each part lies within a few ulp of cos and sin, and is finite at every
+    finite angle: at the float nearest an odd multiple of pi, t is large
+    but finite (1.6e16 at pi), so cos is -1 and sin about 2 / t.  tan is
+    odd, so -dt gives the conjugate.
+    """
+    np.multiply(freqs, 0.5 * dt, out=tangent)
+    np.tan(tangent, out=tangent)
+    cos, sin = out.real, out.imag
+    np.multiply(tangent, tangent, out=cos)
+    np.add(cos, 1.0, out=cos)
+    np.divide(tangent, cos, out=sin)
+    np.multiply(sin, 2.0, out=sin)
+    np.divide(2.0, cos, out=cos)
+    np.subtract(cos, 1.0, out=cos)
+    return out
+
+
+class _Workspace:
+    """The (N,) buffers of dynamic-shell samples: field, weights,
+    frequencies and tangent (real), and the rows and the step of
+    `_phase_rows` (complex).  Rows running both ways from the anchor
+    (`before` > 0) take a third complex buffer for the anchor row.
+    """
+
+    def __init__(self, n: int, before: int = 0):
+        self.field, self.weights, self.freqs, self.tangent = (np.empty(n) for _ in range(4))
+        self.row = np.empty(n, dtype=complex)
+        self.step = np.empty(n, dtype=complex)
+        self.start = np.empty(n, dtype=complex) if before else self.row
+
+
+def _phase_rows(anchor_time, dt, before, after, freqs, weights, put, work=None) -> None:
     """put(before + j, row) for j = -before .. after, where row is
     weights * exp(i (anchor_time + j dt) freqs).
 
@@ -357,20 +393,25 @@ def _phase_rows(anchor_time, dt, before, after, freqs, weights, put) -> None:
     the unit phase of anchor_time freqs unless that time is 0; each later
     row is the one before it times the one-step phase exp(i dt freqs), and
     each earlier row the one after it times its conjugate.  So the rows cost
-    N real cos and N real sin (twice that when the anchor time is not 0)
-    however many there are, and the round-off grows by about one ulp per
-    row away from the anchor.  Each row is formed in an (N,) buffer that
-    put must not keep.  With real weights and anchor time 0, row -j is
-    bitwise the conjugate of row j.
+    N tangents (and N real cos and sin when the anchor time is not 0)
+    however many there are, and the round-off grows by a few ulp per row
+    away from the anchor.  Each row is formed in a complex buffer of work
+    (a `_Workspace`, new if None) that put must not keep; work's tangent is
+    overwritten.  With real weights and anchor time 0, row -j is bitwise
+    the conjugate of row j.
     """
-    start = np.empty(np.shape(freqs), dtype=complex)
+    if work is None:
+        work = _Workspace(np.shape(freqs)[0], before)
+    start, row, step = work.start, work.row, work.step
     if anchor_time == 0.0:
         start[...] = weights
     else:
-        np.multiply(weights, _unit_phase(anchor_time * freqs), out=start)
-    step = _unit_phase(dt * freqs)
+        _unit_phase(np.multiply(freqs, anchor_time, out=work.tangent), out=start)
+        np.multiply(weights, start, out=start)
+    _tangent_phase(freqs, dt, step, work.tangent)
     put(before, start)
-    row = start.copy() if before else start
+    if before:
+        np.copyto(row, start)
     for k in range(before + 1, before + after + 1):
         np.multiply(row, step, out=row)
         put(k, row)
@@ -461,7 +502,9 @@ class CorrelatorAccumulator(_SampleStream):
     batch mean is phased by the (R, N) time rows and summed over the groups.
     A dynamic shell re-evaluates omega_p from the snapshot's field, so each
     sample forms its R rows in an (N,) buffer and sums each over the groups,
-    O(R N) work in O(N + R G) memory.
+    O(R N) work in O(N + R G) memory.  A block of samples shares one
+    `_Workspace`, which it frees when it ends: each row is lifted into it
+    and its sample is formed there with no other (N,) array.
     """
 
     def __init__(
@@ -512,10 +555,6 @@ class CorrelatorAccumulator(_SampleStream):
                 ),
             )
         else:
-            # A dynamic shell lifts and sums each row alone, so a block gains
-            # nothing: at 25^3 a burst of 10 rows took about three times the
-            # minor page faults of rows taken as they come (glibc malloc).
-            self._block_len = 1
             self._sums = BatchMeans(
                 (n_rows, self._starts.size), batch_len, complex, project=self._on_grid
             )
@@ -529,29 +568,41 @@ class CorrelatorAccumulator(_SampleStream):
         return grid @ self._group_phase
 
     def _add_site(self, phi: np.ndarray) -> None:
-        weighted = float(np.sum(phi)) * phi
         if isinstance(self.shell, FixedShell):
-            self._sums.add(weighted)
+            self._sums.add(float(np.sum(phi)) * phi)
             return
-        # the frequencies replace the masses, so a local shell's (N,) masses
-        # are freed before the rows are formed
-        freqs = effective_masses(self.shell, phi)
-        freqs = np.sqrt(self._p_squared + freqs * freqs)[self._order]
+        self._add_sample(_Workspace(phi.shape[0], self._span[2]), phi)
+
+    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
+        if isinstance(self.shell, FixedShell):
+            weights = self._root_n * (coords[:, 0] @ coords)
+            self._sums.add(weights @ basis, coords.shape[0])
+            return
+        work = _Workspace(basis.shape[1], self._span[2])
+        for x in coords:
+            self._add_sample(work, _lift(basis, x, work.field, work.tangent))
+
+    def _add_sample(self, work: _Workspace, phi: np.ndarray) -> None:
+        """Add the (R, G) group sums of one dynamic-shell sample, formed in
+        work without another (N,) array."""
+        total = float(np.sum(phi))
+        masses = effective_masses(self.shell, phi, out=work.freqs)
+        freqs = np.multiply(masses, masses, out=work.freqs)
+        np.add(self._p_squared, freqs, out=freqs)
+        np.sqrt(freqs, out=freqs)
+        weights = np.multiply(phi, total, out=work.weights)
+        if not isinstance(self._order, slice):
+            # group order; phi, which may be work.field, is used up
+            weights = np.take(weights, self._order, out=work.field)
+            freqs = np.take(freqs, self._order, out=work.weights)
         sample = np.empty(self._sums.total.shape, dtype=complex)
         starts = self._starts
 
         def put(k: int, row: np.ndarray) -> None:
             np.add.reduceat(row, starts, out=sample[k])
 
-        _phase_rows(*self._span, freqs, weighted[self._order], put)
+        _phase_rows(*self._span, freqs, weights, put, work)
         self._sums.add(sample)
-
-    def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
-        if not isinstance(self.shell, FixedShell):
-            super()._add_block(basis, coords)
-            return
-        weights = self._root_n * (coords[:, 0] @ coords)
-        self._sums.add(weights @ basis, coords.shape[0])
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
         self._sum_buffer()

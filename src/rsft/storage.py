@@ -51,8 +51,8 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def format_float(value: float) -> str:
-    return f"{value:.17g}"
+# every float of a CSV: 17 significant digits, which round-trip
+FLOAT_FORMAT = "%.17g"
 
 
 def _json_bytes(value) -> bytes:
@@ -66,7 +66,9 @@ def write_checkpoint(
     physics: Mapping[str, str | float],
 ) -> None:
     """Write the state, its basis and the generator, with the physics
-    record (config key to value) that a resume must match."""
+    record (config key to value) that a resume must match.  Each part goes
+    to the file as it is, with the CRC-32 updated part by part, so the
+    payload is never joined or copied."""
     algorithm = type(rng.bit_generator).__name__
     if algorithm not in _SUPPORTED_GENERATORS:
         raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
@@ -75,8 +77,8 @@ def write_checkpoint(
     k, n = state.basis.shape
     parts = [
         struct.pack("<Q", n),
-        np.ascontiguousarray(state.phi, dtype="<f8").tobytes(),
-        np.ascontiguousarray(state.pi_phi, dtype="<f8").tobytes(),
+        np.ascontiguousarray(state.phi, dtype="<f8"),
+        np.ascontiguousarray(state.pi_phi, dtype="<f8"),
         struct.pack("<ddd", state.s, state.pi_s, state.s0),
         struct.pack("<Q", state.step_count),
         struct.pack("<I", len(algorithm.encode())),
@@ -86,15 +88,19 @@ def write_checkpoint(
         struct.pack("<I", len(physics_record)),
         physics_record,
         struct.pack("<I", k),
-        np.ascontiguousarray(state.basis, dtype="<f8").tobytes(),
-        np.array(state.x[:k] + state.y[:k], dtype="<f8").tobytes(),
+        np.ascontiguousarray(state.basis, dtype="<f8"),
+        np.array(state.x[:k] + state.y[:k], dtype="<f8"),
     ]
-    payload = b"".join(parts)
-    checksum = struct.pack("<I", zlib.crc32(payload))
     partial = f"{os.fspath(path)}.partial"
     try:
         with open(partial, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC + payload + checksum)
+            handle.write(CHECKPOINT_MAGIC)
+            checksum = 0
+            for part in parts:
+                view = memoryview(part)
+                checksum = zlib.crc32(view, checksum)
+                handle.write(view)
+            handle.write(struct.pack("<I", checksum))
         os.replace(partial, path)
     finally:
         if os.path.exists(partial):
@@ -185,8 +191,8 @@ def _write_header(handle: TextIO, header_items: Sequence[tuple[str, str]]) -> No
 def emit_correlator_csv(
     grid: CorrelatorGrid, path, header_items: Sequence[tuple[str, str]] = ()
 ) -> None:
-    """One row per grid point, in grid-spec order.  The values are formatted
-    a row at a time by one template, as `format_float` formats each."""
+    """One row per grid point, in grid-spec order, each formatted by one
+    template of FLOAT_FORMAT values."""
     missing = np.full(grid.points.shape[0], np.nan)
     columns = np.column_stack(
         (
@@ -197,7 +203,7 @@ def emit_correlator_csv(
             missing if grid.stderr_im is None else grid.stderr_im,
         )
     )
-    row = ",".join(["%.17g"] * columns.shape[1]) + f",{grid.source}\n"
+    row = ",".join([FLOAT_FORMAT] * columns.shape[1]) + f",{grid.source}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         _write_header(handle, header_items)
         handle.write("y0,y1,y2,y3,re_mean,im_mean,re_stderr,im_stderr,source\n")
@@ -210,22 +216,29 @@ def emit_table_csv(
     rows: Iterable[Sequence],
     header_items: Sequence[tuple[str, str]] = (),
 ) -> None:
-    """Generic table writer: floats at 17 significant digits, everything
-    else via str."""
+    """Generic table writer: floats by FLOAT_FORMAT, everything else via
+    str.  Each row is formatted by one template, built once per sequence of
+    cell types."""
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         _write_header(handle, header_items)
         handle.write(",".join(columns) + "\n")
         for row in rows:
-            rendered = [
-                format_float(cell) if isinstance(cell, float) else str(cell) for cell in row
-            ]
-            handle.write(",".join(rendered) + "\n")
+            cells = tuple(row)
+            kinds = tuple(map(type, cells))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(
+                    FLOAT_FORMAT if issubclass(kind, float) else "%s" for kind in kinds
+                ) + "\n"
+            handle.write(template % cells)
 
 
 class ConservationLog:
     """Incremental `step,lambda,total_action,s,pi_s` log."""
 
     COLUMNS = "step,lambda,total_action,s,pi_s"
+    _ROW = ",".join(["%s"] + [FLOAT_FORMAT] * 4) + "\n"
 
     def __init__(self, path, header_items: Sequence[tuple[str, str]] = ()):
         self._handle = open(path, "w", encoding="utf-8", newline="\n")
@@ -235,8 +248,7 @@ class ConservationLog:
 
     def record(self, step: int, lam: float, total_action: float, s: float, pi_s: float) -> None:
         self.max_abs_total_action = max(self.max_abs_total_action, abs(total_action))
-        row = [str(step)] + [format_float(v) for v in (lam, total_action, s, pi_s)]
-        self._handle.write(",".join(row) + "\n")
+        self._handle.write(self._ROW % (step, lam, total_action, s, pi_s))
 
     def close(self) -> None:
         self._handle.close()

@@ -73,6 +73,16 @@ class TestSimulate:
         assert (tmp_path / "o2" / "conservation.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_calls_in_one_process_share_no_arguments(self, tmp_path):
+        # the parser is built once per process; an --output-dir given to one
+        # call must not reach the next
+        cfg = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/configured\n")
+        assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "given")]) == 0
+        assert main(["simulate", "--config", cfg]) == 0
+        assert cli._build_parser() is cli._build_parser()
+        for name in ("given", "configured"):
+            assert (tmp_path / name / "conservation.csv").exists()
+
     def test_missing_config_file_errors(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")

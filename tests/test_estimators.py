@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from rsft import dynamics, estimators
 from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import ExtendedState, IntegratorParams, Sampling, init_state, run
+from rsft.dynamics import CoordinateBlock, ExtendedState, IntegratorParams, Sampling, init_state, run
 from rsft.estimators import (
     COORDINATE_BUFFER_LEN,
     MIN_BATCHES,
@@ -20,6 +20,7 @@ from rsft.estimators import (
     MgfAccumulator,
     VarianceAccumulator,
     _phase_rows,
+    _tangent_phase,
     default_batch_len,
 )
 from rsft.lattice import (
@@ -619,6 +620,65 @@ class TestCorrelator:
         np.testing.assert_array_equal(got.values, reference.mean().reshape(-1))
         for mine, want in zip((got.stderr_re, got.stderr_im), reference.stderr()):
             np.testing.assert_array_equal(mine, want.reshape(-1))
+
+    def test_tangent_step_is_within_a_few_ulp_of_cos_and_sin(self):
+        # the one-step phase comes from t = tan(angle / 2); near odd
+        # multiples of pi t is huge, and the parts must stay finite
+        rng = np.random.default_rng(38)
+        odd_pi = np.pi * (2 * np.arange(-318, 319) + 1)
+        angles = np.concatenate(
+            (
+                rng.uniform(-1e3, 1e3, 200_000),
+                np.linspace(-1e3, 1e3, 200_001),
+                [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi],
+                odd_pi,
+                np.nextafter(odd_pi, np.inf),
+                np.nextafter(odd_pi, -np.inf),
+            )
+        )
+        out = np.empty(angles.size, dtype=complex)
+        tangent = np.empty(angles.size)
+        with np.errstate(all="raise"):
+            _tangent_phase(angles, 1.0, out, tangent)
+        assert np.all(np.isfinite(out))
+        ulp = np.finfo(float).eps
+        assert np.abs(out.real - np.cos(angles)).max() <= 4 * ulp
+        assert np.abs(out.imag - np.sin(angles)).max() <= 4 * ulp
+        mirrored = np.empty_like(out)
+        _tangent_phase(-angles, 1.0, mirrored, tangent)
+        np.testing.assert_array_equal(mirrored, np.conj(out))
+        # dt halves exactly, so the step of (freqs, dt) is that of dt freqs
+        scaled = np.empty_like(out)
+        _tangent_phase(angles / 0.3, 0.3, scaled, tangent)
+        stepped = np.empty_like(out)
+        _tangent_phase(0.3 * (angles / 0.3), 1.0, stepped, tangent)
+        np.testing.assert_array_equal(scaled, stepped)
+
+    @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
+    def test_dynamic_shell_block_peak_does_not_grow_with_its_rows(self, shell):
+        # a block shares one workspace over its rows and frees it at its end
+        lattice, _, state = trajectory(9, COLLECTIVE, seed=3)
+        grid_spec = GridSpec.plane(2.0, 5, 2.0, 4, axis=1)
+        rows = [tuple(x) for x in np.random.default_rng(39).normal(size=(20, 3))]
+
+        def block_memory(count):
+            acc = CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=40)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                acc.add(CoordinateBlock(state.basis, rows[:count]))
+                acc._sum_buffer()
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert acc._sums.count == count
+            return peak - before, after - before
+
+        (one_peak, one_kept), (twenty_peak, twenty_kept) = block_memory(1), block_memory(20)
+        site_array = 8 * lattice.site_count
+        assert one_peak >= 6 * site_array
+        assert twenty_peak <= one_peak + 4096
+        assert max(one_kept, twenty_kept) < site_array
 
     def test_grid_row_order_matches_points(self):
         rng = np.random.default_rng(26)

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import zlib
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import IntegratorParams, init_state, run
+from rsft.dynamics import ExtendedState, IntegratorParams, init_state, run
 from rsft.estimators import CorrelatorGrid
 from rsft.lattice import MomentumLattice
 from rsft.storage import (
@@ -16,7 +17,6 @@ from rsft.storage import (
     ConservationLog,
     emit_correlator_csv,
     emit_table_csv,
-    format_float,
     read_checkpoint,
     write_checkpoint,
 )
@@ -41,7 +41,71 @@ def setup_run(n_per_axis=3, seed=5):
     return params, state, rng
 
 
+def write_checkpoint_joined(path, state, rng, physics):
+    """`write_checkpoint` as it joined the payload before one write."""
+    algorithm = type(rng.bit_generator).__name__
+    rng_state = json.dumps(rng.bit_generator.state, sort_keys=True, separators=(",", ":")).encode()
+    record = json.dumps(dict(physics), sort_keys=True, separators=(",", ":")).encode()
+    k, n = state.basis.shape
+    parts = [
+        struct.pack("<Q", n),
+        np.ascontiguousarray(state.phi, dtype="<f8").tobytes(),
+        np.ascontiguousarray(state.pi_phi, dtype="<f8").tobytes(),
+        struct.pack("<ddd", state.s, state.pi_s, state.s0),
+        struct.pack("<Q", state.step_count),
+        struct.pack("<I", len(algorithm.encode())),
+        algorithm.encode(),
+        struct.pack("<I", len(rng_state)),
+        rng_state,
+        struct.pack("<I", len(record)),
+        record,
+        struct.pack("<I", k),
+        np.ascontiguousarray(state.basis, dtype="<f8").tobytes(),
+        np.array(state.x[:k] + state.y[:k], dtype="<f8").tobytes(),
+    ]
+    payload = b"".join(parts)
+    with open(path, "wb") as handle:
+        handle.write(CHECKPOINT_MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_streamed_file_is_the_joined_payload(self, tmp_path, k):
+        rng = np.random.default_rng(40 + k)
+        n = 27
+        basis = np.linalg.qr(rng.normal(size=(n, 3)))[0].T[:k]
+        phi, pi_phi = rng.normal(size=(2, n))
+        state = ExtendedState(
+            basis, rng.normal(size=k), rng.normal(size=k), 1.25, -0.5, 3.0, 137, phi, pi_phi
+        )
+        write_checkpoint(tmp_path / "streamed.ckpt", state, rng, PHYSICS)
+        write_checkpoint_joined(tmp_path / "joined.ckpt", state, rng, PHYSICS)
+        streamed = (tmp_path / "streamed.ckpt").read_bytes()
+        assert streamed == (tmp_path / "joined.ckpt").read_bytes()
+        assert len(streamed) > 16 * n
+
+    def test_failed_write_mid_payload_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        params, state, rng = setup_run()
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state, rng, PHYSICS)
+        before = path.read_bytes()
+        crc32, calls = zlib.crc32, []
+
+        def crash(data, value=0):
+            calls.append(len(data))
+            if len(calls) == 3:
+                raise OSError("simulated crash mid-payload")
+            return crc32(data, value)
+
+        monkeypatch.setattr(zlib, "crc32", crash)
+        with pytest.raises(OSError, match="mid-payload"):
+            write_checkpoint(path, run(state, params, 50), rng, PHYSICS)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["state.ckpt"]
+        assert path.read_bytes() == before
+        loaded, _ = read_checkpoint(path, PHYSICS)
+        np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
+
     def test_round_trip_is_bitwise(self, tmp_path):
         params, state, rng = setup_run()
         state = run(state, params, 137)
@@ -207,6 +271,11 @@ class TestCheckpoint:
             read_checkpoint(path, PHYSICS)
 
 
+def format_float(value):
+    """One value as the CSV writers formatted each before their row templates."""
+    return f"{value:.17g}"
+
+
 def emit_correlator_csv_per_value(grid, path, header_items=()):
     """`emit_correlator_csv` as it formatted each value on its own."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -284,9 +353,11 @@ class TestCsvEmission:
         emit_correlator_csv(self.one_point_grid(), path, [("seed", "9")])
         assert path.read_text().startswith("# seed = 9\n")
 
-    def test_float_formatting_round_trips(self):
-        for value in (1 / 3, 1e-17, 123456.789, -0.1):
-            assert float(format_float(value)) == value
+    def test_float_formatting_round_trips(self, tmp_path):
+        values = (1 / 3, 1e-17, 123456.789, -0.1)
+        emit_table_csv(tmp_path / "floats.csv", ("value",), [(v,) for v in values])
+        lines = (tmp_path / "floats.csv").read_text().splitlines()
+        assert tuple(float(line) for line in lines[1:]) == values
 
     def test_table_csv(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -298,7 +369,36 @@ class TestCsvEmission:
         assert float(lines[3].split(",")[1]) == 1 / 3
 
 
+    def test_table_rows_are_the_bytes_of_per_cell_formatting(self, tmp_path):
+        special = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1 / 3, -1e300, np.float64(0.1)]
+        others = [7, np.int64(-3), True, np.bool_(False), "x,y", None, np.float32(0.1), 2**70]
+        rows = [tuple(special), tuple(others), (*others[:4], *special[:4])]
+        emit_table_csv(tmp_path / "rows.csv", ("c",) * 8, rows, [("k", "v")])
+        cells = [
+            ",".join(format_float(c) if isinstance(c, float) else str(c) for c in row)
+            for row in rows
+        ]
+        expected = "# k = v\n" + ",".join(("c",) * 8) + "\n" + "".join(f"{c}\n" for c in cells)
+        assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
+
 class TestConservationLog:
+    def test_rows_are_the_bytes_of_per_value_formatting(self, tmp_path):
+        records = [
+            (0, 0.0, -0.0, 1.0, 0.0),
+            (np.int64(2500), np.float64(25.0), 1 / 3, np.nan, -np.inf),
+            (10**6, 1e4, 5e-324, np.float64(1.0000000000000002), 2),
+        ]
+        path = tmp_path / "log.csv"
+        with ConservationLog(path) as log:
+            for record in records:
+                log.record(*record)
+        rows = [
+            ",".join([str(step)] + [format_float(v) for v in values])
+            for step, *values in records
+        ]
+        assert path.read_text().splitlines()[1:] == rows
+
     def test_rows_and_max_tracking(self, tmp_path):
         path = tmp_path / "log.csv"
         with ConservationLog(path, [("seed", "1")]) as log:
