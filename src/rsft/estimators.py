@@ -378,7 +378,7 @@ class _Workspace:
     (`before` > 0) take a third complex buffer for the anchor row.
     """
 
-    def __init__(self, n: int, before: int = 0):
+    def __init__(self, n: int, before: int):
         self.field, self.weights, self.freqs, self.tangent = (np.empty(n) for _ in range(4))
         self.row = np.empty(n, dtype=complex)
         self.step = np.empty(n, dtype=complex)
