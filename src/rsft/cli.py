@@ -35,6 +35,7 @@ from .operator_algebra import (
     HilbertContext,
     LinearObservable,
     algebra_report,
+    gram_exact,
     microcausality_ratio,
     packet_envelope,
     packet_observables,
@@ -397,19 +398,16 @@ def cmd_fock_check(cfg: RunConfig) -> int:
 
 def cmd_microcausality(cfg: RunConfig) -> int:
     lattice = cfg.lattice()
-    spacelike, timelike = standard_packet_configuration(
-        cfg.micro_separation, cfg.micro_sigma_p, spatial_axis=1
-    )
+    spacelike, timelike = standard_packet_configuration(cfg.micro_separation, cfg.micro_sigma_p)
+    observables = packet_observables(spacelike, timelike, lattice, cfg.mass)
     if cfg.micro_source == "exact":
         covariance = oracles.exact_covariance(cfg.matter_action_kind(), cfg.site_count, cfg.beta)
-        result = microcausality_ratio(
-            spacelike, timelike, lattice, cfg.mass, covariance=covariance
-        )
+        gram = gram_exact(observables, covariance)
     else:
-        observables = packet_observables(spacelike, timelike, lattice, cfg.mass)
-        gram = GramAccumulator(observables, cfg.resolved_batch_len)
-        _run_trajectory(cfg, "microcausality", [gram])
-        result = microcausality_ratio(spacelike, timelike, lattice, cfg.mass, gram=gram.result())
+        accumulator = GramAccumulator(observables, cfg.resolved_batch_len)
+        _run_trajectory(cfg, "microcausality", [accumulator])
+        gram = accumulator.result()
+    result = microcausality_ratio(gram)
 
     # Independent reference: direct envelope-weighted kernel sums for the
     # free theory on the same lattice.
@@ -454,6 +452,9 @@ def cmd_microcausality(cfg: RunConfig) -> int:
         rows,
         _header(cfg, "microcausality", [("source", cfg.micro_source)]),
     )
+    if cfg.micro_source == "mc" and result.se_ratio is None:
+        print("microcausality: too few batches for error bars; stderr unavailable")
+        return 1
     print(
         f"microcausality: |K_spacelike|/|K_timelike| = {result.ratio:.3e} "
         f"(threshold {cfg.micro_threshold}) -> {'PASS' if passed else 'FAIL'}"

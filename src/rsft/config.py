@@ -267,6 +267,12 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         fail("grid.x_points", "must be at least 1")
     if cfg.grid_axis not in (1, 2, 3):
         fail("grid.axis", "must be 1, 2 or 3")
+    try:
+        # only the times can fail GridSpec's checks, so one spatial point will do
+        GridSpec.plane(cfg.grid_t_extent, cfg.grid_t_points, 0.0, 1)
+    except ValueError as err:
+        t = cfg.grid_t_extent
+        fail("grid.t_extent", f"{err}; got {cfg.grid_t_points} times over [-{t!r}, {t!r}]")
     if cfg.covariance_n_sites < 1 or cfg.covariance_n_sites > MAX_COVARIANCE_SITES:
         fail("covariance.n_sites", f"must be between 1 and {MAX_COVARIANCE_SITES}")
     n = cfg.site_count

@@ -3,6 +3,11 @@
 Observables of the form phi(J) = sum_p phi(p) J(p) carry the inner product
 <O1, O2> = <conj(O1[phi]) O2[phi]>, estimated from a trajectory by the Gram
 accumulator or evaluated exactly from the closed-form covariance.
+Either way the result is a `GramMatrix`, and the microcausality ratio is
+read from the Gram matrix of four packet observables alone: the field
+commutator kernel 2 Im <A, B> of each pair, its floor from the
+Cauchy-Schwarz bound of the same matrix, and its error bar when the
+matrix carries them.
 Diagonalizing the exact Gram matrix of a finite observable family and
 discarding the (numerical) null directions yields an orthonormal
 one-particle basis; the bosonic Fock space over it is
@@ -75,15 +80,12 @@ class LinearObservable:
 @dataclass(frozen=True)
 class GramMatrix:
     """Hermitian matrix of observable inner products with per-entry
-    batch-means standard errors (zero in exact mode)."""
+    batch-means standard errors of its real and imaginary parts, None when
+    there are none (an exact matrix, or too few batches)."""
 
     matrix: np.ndarray
-    stderr_re: np.ndarray
-    stderr_im: np.ndarray
-
-    @property
-    def max_stderr(self) -> float:
-        return float(max(self.stderr_re.max(), self.stderr_im.max()))
+    stderr_re: np.ndarray | None = None
+    stderr_im: np.ndarray | None = None
 
 
 def _hermitize(matrix: np.ndarray) -> np.ndarray:
@@ -103,8 +105,7 @@ def gram_exact(
     for i, obs_i in enumerate(observables):
         for j in range(k):
             matrix[i, j] = np.conj(obs_i.coeffs) @ images[j]
-    zeros = np.zeros((k, k))
-    return GramMatrix(_hermitize(matrix), zeros, zeros)
+    return GramMatrix(_hermitize(matrix))
 
 
 class GramAccumulator(_SampleStream):
@@ -129,23 +130,16 @@ class GramAccumulator(_SampleStream):
         self._sum_buffer()
         matrix = _hermitize(self._acc.mean())
         se = self._acc.stderr()
-        if se is None:
-            k = len(self.observables)
-            zeros = np.zeros((k, k))
-            return GramMatrix(matrix, zeros, zeros)
-        return GramMatrix(matrix, se[0], se[1])
+        return GramMatrix(matrix) if se is None else GramMatrix(matrix, *se)
 
 
-def quotient_orthonormalize(
-    gram_matrix: GramMatrix | np.ndarray, tol: float
-) -> tuple[np.ndarray, int]:
+def quotient_orthonormalize(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """Orthonormalize the observable family modulo its numerical null space.
 
     Eigendirections of the Gram matrix with eigenvalue at most tol times the
     largest eigenvalue are discarded; the rest are scaled so the transformed
     Gram is the identity.  Returns the (k, d) transform and d.
     """
-    matrix = gram_matrix.matrix if isinstance(gram_matrix, GramMatrix) else gram_matrix
     eigvals, eigvecs = np.linalg.eigh(matrix)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     if eigvals[0] <= 0:
@@ -177,7 +171,7 @@ class HilbertContext:
         self.gram = gram_matrix
         self.tol = tol
         self.covariance = covariance
-        self.transform, self.d = quotient_orthonormalize(gram_matrix, tol)
+        self.transform, self.d = quotient_orthonormalize(gram_matrix.matrix, tol)
 
     @classmethod
     def from_covariance(
@@ -552,22 +546,15 @@ def packet_coefficients(
 
 
 def standard_packet_configuration(
-    separation: float = 1.5,
-    sigma_p: float = 0.3,
-    spatial_axis: int = 1,
+    separation: float = 1.5, sigma_p: float = 0.3
 ) -> tuple[tuple[GaussianPacket, GaussianPacket], tuple[GaussianPacket, GaussianPacket]]:
-    """Spacelike pair separated along one spatial axis and the timelike
-    reference pair separated by the same interval along the time axis."""
-    if spatial_axis not in (1, 2, 3):
-        raise ValueError("spatial_axis must be 1, 2 or 3")
+    """Spacelike pair separated along the first spatial axis and the
+    timelike reference pair separated by the same interval along the time
+    axis."""
     half = separation / 2.0
-    lo = [0.0, 0.0, 0.0, 0.0]
-    hi = [0.0, 0.0, 0.0, 0.0]
-    lo[spatial_axis] = -half
-    hi[spatial_axis] = half
     spacelike = (
-        GaussianPacket(tuple(lo), sigma_p),
-        GaussianPacket(tuple(hi), sigma_p),
+        GaussianPacket((0.0, -half, 0.0, 0.0), sigma_p),
+        GaussianPacket((0.0, half, 0.0, 0.0), sigma_p),
     )
     timelike = (
         GaussianPacket((-half, 0.0, 0.0, 0.0), sigma_p),
@@ -581,8 +568,6 @@ class MicrocausalityResult:
     k_spacelike: float
     k_timelike: float
     ratio: float
-    se_spacelike: float | None = None
-    se_timelike: float | None = None
     se_ratio: float | None = None
 
 
@@ -601,57 +586,30 @@ def packet_observables(
     ]
 
 
-def microcausality_ratio(
-    spacelike_pair: tuple[GaussianPacket, GaussianPacket],
-    timelike_pair: tuple[GaussianPacket, GaussianPacket],
-    lattice: MomentumLattice,
-    mass: float,
-    *,
-    covariance: ExactCovariance | None = None,
-    gram: GramMatrix | None = None,
-) -> MicrocausalityResult:
+def microcausality_ratio(gram: GramMatrix) -> MicrocausalityResult:
     """|K| at spacelike separation over |K| at the timelike reference.
 
-    The kernel K = 2 Im <phi(J_A), phi(J_B)> is evaluated for both packet
-    configurations either from a closed-form covariance or from the sampled
-    Gram matrix of `packet_observables`.  A timelike reference below the
-    numerical floor is an error rather than a huge ratio.
+    `gram` is the Gram matrix of `packet_observables`, exact or sampled.
+    The kernel K = 2 Im <phi(J_A), phi(J_B)> of each pair is read from it,
+    with its error bar when the matrix has them.  A timelike reference at
+    or below 1e-12 of its Cauchy-Schwarz bound 2 sqrt(G_22 G_33) is an
+    error rather than a huge ratio.
     """
-    if (covariance is None) == (gram is None):
-        raise ValueError("provide exactly one of covariance or gram")
-    scale_t = 2.0 * float(
-        np.sum(
-            packet_envelope(timelike_pair[0], lattice)
-            * packet_envelope(timelike_pair[1], lattice)
-        )
-    )
-    if covariance is not None:
-        obs = packet_observables(spacelike_pair, timelike_pair, lattice, mass)
-        k_s, k_t = (
-            2.0 * float(np.imag(covariance.quadratic_form(obs[i].coeffs, obs[i + 1].coeffs)))
-            for i in (0, 2)
-        )
-        se_s = se_t = None
-        scale_t /= covariance.beta
-    else:
-        k_s = 2.0 * float(np.imag(gram.matrix[0, 1]))
-        k_t = 2.0 * float(np.imag(gram.matrix[2, 3]))
-        if gram.max_stderr > 0:
-            se_s = 2.0 * float(gram.stderr_im[0, 1])
-            se_t = 2.0 * float(gram.stderr_im[2, 3])
-        else:
-            se_s = se_t = None
-    if abs(k_t) <= 1e-12 * scale_t:
+    matrix = gram.matrix
+    k_s = 2.0 * float(np.imag(matrix[0, 1]))
+    k_t = 2.0 * float(np.imag(matrix[2, 3]))
+    bound_t = 2.0 * math.sqrt(float(matrix[2, 2].real) * float(matrix[3, 3].real))
+    if abs(k_t) <= 1e-12 * bound_t:
         raise AlgebraError(
             f"timelike reference kernel {k_t:.3e} below the numerical floor"
         )
     ratio = abs(k_s) / abs(k_t)
     se_ratio = None
-    if se_s is not None and se_t is not None:
-        se_ratio = math.sqrt(
-            (se_s / abs(k_t)) ** 2 + (abs(k_s) * se_t / k_t**2) ** 2
-        )
-    return MicrocausalityResult(k_s, k_t, ratio, se_s, se_t, se_ratio)
+    if gram.stderr_im is not None:
+        se_s = 2.0 * float(gram.stderr_im[0, 1])
+        se_t = 2.0 * float(gram.stderr_im[2, 3])
+        se_ratio = math.sqrt((se_s / abs(k_t)) ** 2 + (abs(k_s) * se_t / k_t**2) ** 2)
+    return MicrocausalityResult(k_s, k_t, ratio, se_ratio)
 
 
 @dataclass(frozen=True)

@@ -142,40 +142,60 @@ def read_checkpoint(
     if zlib.crc32(payload) != stored:
         raise CheckpointError("checkpoint checksum mismatch")
     reader = _Reader(payload)
-    (n,) = reader.unpack("<Q")
-    phi = np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
-    pi_phi = np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
-    s, pi_s, s0 = reader.unpack("<ddd")
-    (step_count,) = reader.unpack("<Q")
-    (alg_len,) = reader.unpack("<I")
-    algorithm = reader.take(alg_len).decode()
-    (state_len,) = reader.unpack("<I")
-    rng_state = json.loads(reader.take(state_len).decode())
-    physics = basis = None
-    if magic != _CHECKPOINT_MAGIC_V1:
-        (physics_len,) = reader.unpack("<I")
-        physics = json.loads(reader.take(physics_len).decode())
-    if magic == CHECKPOINT_MAGIC:
-        (k,) = reader.unpack("<I")
-        if k > _MAX_SUBSPACE_DIM:
-            raise CheckpointError(f"subspace dimension {k} exceeds {_MAX_SUBSPACE_DIM}")
-        if k > 0:
-            basis = np.frombuffer(reader.take(8 * k * n), dtype="<f8").reshape(k, n)
-            x, y = np.frombuffer(reader.take(16 * k), dtype="<f8").reshape(2, k)
-    if reader.offset != len(payload):
-        raise CheckpointError("trailing bytes in checkpoint payload")
-    for key, value in expect.items() if physics is not None else ():
-        if key not in physics:
-            raise CheckpointError(f"checkpoint records no {key}")
-        if physics[key] != value:
-            raise CheckpointError(
-                f"checkpoint was written with {key} = {physics[key]} "
-                f"but the config sets {key} = {value}"
-            )
-    if algorithm not in _SUPPORTED_GENERATORS:
-        raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
-    bit_generator = _SUPPORTED_GENERATORS[algorithm]()
-    bit_generator.state = rng_state
+    physics = basis = x = y = None
+    # Every part is decoded inside one guard, so a part that passed the CRC
+    # but does not decode, or that the generator refuses, is a
+    # CheckpointError naming it.
+    part = "state"
+    try:
+        (n,) = reader.unpack("<Q")
+        phi = np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
+        pi_phi = np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
+        s, pi_s, s0 = reader.unpack("<ddd")
+        (step_count,) = reader.unpack("<Q")
+        part = "generator name"
+        (alg_len,) = reader.unpack("<I")
+        algorithm = reader.take(alg_len).decode()
+        part = "generator state"
+        (state_len,) = reader.unpack("<I")
+        rng_state = json.loads(reader.take(state_len).decode())
+        if magic != _CHECKPOINT_MAGIC_V1:
+            part = "physics record"
+            (physics_len,) = reader.unpack("<I")
+            physics = json.loads(reader.take(physics_len).decode())
+        if magic == CHECKPOINT_MAGIC:
+            part = "basis"
+            (k,) = reader.unpack("<I")
+            if k > _MAX_SUBSPACE_DIM:
+                raise CheckpointError(f"subspace dimension {k} exceeds {_MAX_SUBSPACE_DIM}")
+            if k > 0:
+                basis = np.frombuffer(reader.take(8 * k * n), dtype="<f8").reshape(k, n)
+                x, y = np.frombuffer(reader.take(16 * k), dtype="<f8").reshape(2, k)
+        if reader.offset != len(payload):
+            raise CheckpointError("trailing bytes in checkpoint payload")
+        part = "physics record"
+        for key, value in expect.items() if physics is not None else ():
+            if key not in physics:
+                raise CheckpointError(f"checkpoint records no {key}")
+            if physics[key] != value:
+                raise CheckpointError(
+                    f"checkpoint was written with {key} = {physics[key]} "
+                    f"but the config sets {key} = {value}"
+                )
+        if algorithm not in _SUPPORTED_GENERATORS:
+            raise CheckpointError(f"unsupported generator algorithm {algorithm!r}")
+        part = "generator state"
+        bit_generator = _SUPPORTED_GENERATORS[algorithm]()
+        bit_generator.state = rng_state
+    except (KeyError, OverflowError, TypeError, ValueError) as err:
+        # UnicodeDecodeError and json.JSONDecodeError are ValueErrors; the
+        # generator's state setter raises any of the four
+        raise CheckpointError(f"checkpoint {part} does not decode: {err}") from None
+    floats = [phi, pi_phi, [s, pi_s, s0]] + ([] if basis is None else [basis, x, y])
+    if not all(np.isfinite(values).all() for values in floats):
+        raise CheckpointError("checkpoint holds a non-finite float")
+    if not s > 0:
+        raise CheckpointError(f"checkpoint bath variable s = {s!r} is not positive")
     if basis is None:
         state = ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0, step_count)
     else:

@@ -34,8 +34,10 @@ from rsft.operator_algebra import (
     HilbertContext,
     LinearObservable,
     algebra_report,
+    gram_exact,
     microcausality_ratio,
     packet_envelope,
+    packet_observables,
     standard_packet_configuration,
 )
 from rsft.oracles import exact_covariance, expected_correlator, smeared_commutator
@@ -281,7 +283,9 @@ def test_criterion_7_microcausality(capsys):
     lattice = MomentumLattice(25, 0.1)
     covariance = exact_covariance(FREE, lattice.site_count, 1.0)
     spacelike, timelike = standard_packet_configuration(separation=1.5, sigma_p=0.3)
-    result = microcausality_ratio(spacelike, timelike, lattice, 1.0, covariance=covariance)
+    result = microcausality_ratio(
+        gram_exact(packet_observables(spacelike, timelike, lattice, 1.0), covariance)
+    )
 
     def oracle(pair):
         delta = np.asarray(pair[1].center) - np.asarray(pair[0].center)

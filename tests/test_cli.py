@@ -1,4 +1,7 @@
+import json
+import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ from rsft import cli
 from rsft.cli import main
 from rsft.config import config_from_file
 from rsft.dynamics import COORDINATE_BUFFER_LEN, init_state
-from rsft.storage import read_checkpoint
+from rsft.storage import CHECKPOINT_MAGIC, read_checkpoint
 
 BASE = """
 lattice.n_per_axis = 3
@@ -189,6 +192,85 @@ class TestResume:
         assert "beyond" in capsys.readouterr().err
 
 
+# the length-prefixed parts of a version 3 payload, in file order
+PREFIXED_PARTS = ("generator name", "generator state", "physics record")
+
+
+def checkpoint_parts(blob):
+    """A version 3 checkpoint's payload as its named parts, the
+    length-prefixed ones without their prefix."""
+    payload = blob[len(CHECKPOINT_MAGIC) : -4]
+    (n,) = struct.unpack_from("<Q", payload)
+    parts, at = {}, 0
+    sizes = {"n": 8, "phi": 8 * n, "pi_phi": 8 * n, "scalars": 24, "step": 8}
+    sizes.update(dict.fromkeys(PREFIXED_PARTS))
+    for name, size in sizes.items():
+        if size is None:
+            (size,) = struct.unpack_from("<I", payload, at)
+            at += 4
+        parts[name] = payload[at : at + size]
+        at += size
+    parts["basis"] = payload[at:]
+    return parts
+
+
+def sealed_checkpoint(parts):
+    """The file of the given parts, with a valid CRC."""
+    payload = b"".join(
+        (struct.pack("<I", len(value)) if name in PREFIXED_PARTS else b"") + value
+        for name, value in parts.items()
+    )
+    return CHECKPOINT_MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def generator_state_with_string_increment(state):
+    record = json.loads(state)
+    record["state"]["inc"] = "1"
+    return json.dumps(record).encode()
+
+
+def nan_first_site(phi):
+    return struct.pack("<d", float("nan")) + phi[8:]
+
+
+def bath_at_minus_one(scalars):
+    _s, pi_s, s0 = struct.unpack("<ddd", scalars)
+    return struct.pack("<ddd", -1.0, pi_s, s0)
+
+
+class TestCraftedCheckpoints:
+    """A checkpoint whose CRC holds but whose contents do not decode, or
+    hold values no trajectory reaches, ends in one `error:` line."""
+
+    @pytest.mark.parametrize(
+        "part, corrupt, message",
+        [
+            ("generator state", lambda state: state[:-5], "generator state"),
+            ("physics record", lambda record: record[:-1], "physics record"),
+            ("generator name", lambda name: b"\xff" + name, "generator name"),
+            ("generator state", generator_state_with_string_increment, "generator state"),
+            ("scalars", bath_at_minus_one, "s = -1.0"),
+            ("phi", nan_first_site, "non-finite"),
+        ],
+    )
+    def test_resume_errors(self, tmp_path, capsys, part, corrupt, message):
+        short = BASE.replace("dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 4000")
+        cfg_short = write_config(tmp_path, short + f"output.dir = {tmp_path}/out\n", "short.cfg")
+        assert main(["simulate", "--config", cfg_short]) == 0
+        path = tmp_path / "out" / "checkpoint.ckpt"
+        parts = checkpoint_parts(path.read_bytes())
+        assert sealed_checkpoint(parts) == path.read_bytes()
+        parts[part] = corrupt(parts[part])
+        path.write_bytes(sealed_checkpoint(parts))
+        capsys.readouterr()
+        cfg = write_config(tmp_path, BASE + f"output.dir = {tmp_path}/out\n")
+        assert main(["resume", "--config", cfg, "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "conservation_resume.csv").exists()
+
+
 def record_checkpoint_writes(monkeypatch):
     """The step count of every checkpoint the CLI writes, in order."""
     steps = []
@@ -361,6 +443,17 @@ class TestMicrocausality:
         assert (tmp_path / "checkpoint.ckpt").exists()
 
 
+    def test_sampled_source_without_error_bars_says_so(self, tmp_path, capsys):
+        # 800 samples in batches of 200: four batches, too few for error bars
+        text = BASE.replace("dynamics.batch_len = 100", "dynamics.batch_len = 200")
+        cfg = write_config(tmp_path, text + f"micro.source = mc\noutput.dir = {tmp_path}\n")
+        assert main(["microcausality", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "microcausality: too few batches for error bars; stderr unavailable" in out
+        rows = dict(line.split(",", 1) for line in data_rows(tmp_path / "microcausality.csv"))
+        assert rows["se_ratio"] == "nan" and rows["passed"] == "False"
+
+
 class TestErrors:
     """Failures that are not a failed check print one `error:` line and
     exit 2; exit 1 is reserved for a check that ran and failed."""
@@ -427,6 +520,19 @@ class TestErrors:
         err = capsys.readouterr().err
         line = text.splitlines().index("physics.mass = nan") + 1
         assert err.startswith(f"error: line {line}: physics.mass: must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+    def test_grid_times_gridspec_refuses_error_before_any_step(self, tmp_path, capsys):
+        # 1e-320 is subnormal: its 11 times are not evenly spaced to 1e-12
+        cfg = write_config(
+            tmp_path, smoke_config() + f"grid.t_extent = 1e-320\noutput.dir = {tmp_path}/out\n"
+        )
+        assert main(["correlator", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        line = len(smoke_config().splitlines()) + 1
+        assert err.startswith(f"error: line {line}: grid.t_extent: grid times must be")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

@@ -88,6 +88,8 @@ class TestParsing:
             ("lattice.spacing", "inf", "must be finite"),
             ("grid.t_extent", "nan", "must be finite"),
             ("grid.t_extent", "-1.0", "must be nonnegative"),
+            # subnormal: GridSpec finds its times unevenly spaced
+            ("grid.t_extent", "1e-320", "grid times must be a nonempty, evenly spaced sequence"),
             ("grid.x_extent", "-1.0", "must be nonnegative"),
         ],
     )

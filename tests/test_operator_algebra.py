@@ -16,6 +16,7 @@ from rsft.operator_algebra import (
     FockRep,
     GaussianPacket,
     GramAccumulator,
+    GramMatrix,
     HilbertContext,
     LinearObservable,
     SparseOperand,
@@ -111,7 +112,7 @@ class TestGram:
         sampled = feed(GramAccumulator(obs, batch_len=100), samples).result()
         exact = gram_exact(obs, cov)
         min_eig = float(np.linalg.eigvalsh(sampled.matrix).min())
-        assert min_eig >= -5.0 * sampled.max_stderr
+        assert min_eig >= -5.0 * max(sampled.stderr_re.max(), sampled.stderr_im.max())
         for i in range(3):
             for j in range(3):
                 assert abs(sampled.matrix[i, j].real - exact.matrix[i, j].real) <= (
@@ -152,7 +153,7 @@ class TestQuotient:
         cov = exact_covariance(FREE, 5, 1.0)
         base = unit_site_observable(5, 2)
         result = gram_exact([base, base], cov)
-        transform, d = quotient_orthonormalize(result, tol=1e-9)
+        transform, d = quotient_orthonormalize(result.matrix, tol=1e-9)
         assert d == 1
         np.testing.assert_allclose(
             transform.conj().T @ result.matrix @ transform, np.eye(1), atol=1e-12
@@ -847,6 +848,11 @@ class TestColumnRuns:
         assert peak < 3 * 2**20
 
 
+def packet_gram(spacelike, timelike, lattice, cov):
+    """The exact Gram matrix of the four packet observables."""
+    return gram_exact(packet_observables(spacelike, timelike, lattice, 1.0), cov)
+
+
 class TestMicrocausality:
     def lattice(self):
         return MomentumLattice(9, 0.25)
@@ -857,7 +863,7 @@ class TestMicrocausality:
         packet = GaussianPacket((0.3, 0.1, 0.0, 0.0), sigma_p=0.4)
         spacelike = (packet, packet)
         _, timelike = standard_packet_configuration(1.5, 0.4)
-        result = microcausality_ratio(spacelike, timelike, lattice, 1.0, covariance=cov)
+        result = microcausality_ratio(packet_gram(spacelike, timelike, lattice, cov))
         assert result.k_spacelike == 0.0
         assert result.ratio == 0.0
 
@@ -866,7 +872,7 @@ class TestMicrocausality:
         beta = 1.0
         cov = exact_covariance(FREE, lattice.site_count, beta)
         spacelike, timelike = standard_packet_configuration(1.5, 0.4)
-        result = microcausality_ratio(spacelike, timelike, lattice, 1.0, covariance=cov)
+        result = microcausality_ratio(packet_gram(spacelike, timelike, lattice, cov))
 
         def oracle(pair):
             delta = np.asarray(pair[1].center) - np.asarray(pair[0].center)
@@ -897,7 +903,7 @@ class TestMicrocausality:
             GaussianPacket((0.5, 2.0, 0.0, 0.0), sigma_p=1.0),
         )
         _, timelike = standard_packet_configuration(2.5, 1.0)
-        result = microcausality_ratio(spacelike, timelike, lattice, 1.0, covariance=cov)
+        result = microcausality_ratio(packet_gram(spacelike, timelike, lattice, cov))
         assert 0.0 < result.ratio <= 0.05
 
     def test_sampled_source_agrees_with_exact_source(self):
@@ -906,13 +912,32 @@ class TestMicrocausality:
         beta = 1.0
         cov = exact_covariance(COLLECTIVE, lattice.site_count, beta)
         spacelike, timelike = standard_packet_configuration(1.5, 0.5)
-        exact = microcausality_ratio(spacelike, timelike, lattice, 1.0, covariance=cov)
+        exact = microcausality_ratio(packet_gram(spacelike, timelike, lattice, cov))
         samples = synthetic_collective_samples(rng, lattice.site_count, beta, 12_800)
         observables = packet_observables(spacelike, timelike, lattice, 1.0)
         gram = feed(GramAccumulator(observables, batch_len=100), samples).result()
-        sampled = microcausality_ratio(spacelike, timelike, lattice, 1.0, gram=gram)
+        sampled = microcausality_ratio(gram)
         assert sampled.se_ratio is not None
         assert abs(sampled.ratio - exact.ratio) <= 5.0 * sampled.se_ratio
+
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_error_bars_leave_the_ratio_and_its_floor_alone(self, kind):
+        # At beta = 1e13 the timelike kernel is ~3e-11.  The floor scales
+        # with the Gram matrix, so the same matrix passes with or without
+        # error bars, and gives the same ratio.
+        lattice = MomentumLattice(25, 0.1)
+        cov = exact_covariance(kind, lattice.site_count, 1e13)
+        exact = packet_gram(*standard_packet_configuration(), lattice, cov)
+        se = np.full((4, 4), 1e-22)
+        sampled = microcausality_ratio(GramMatrix(exact.matrix, se, se))
+        reference = microcausality_ratio(exact)
+        assert reference.se_ratio is None and sampled.se_ratio > 0.0
+        assert (sampled.k_spacelike, sampled.k_timelike, sampled.ratio) == (
+            reference.k_spacelike,
+            reference.k_timelike,
+            reference.ratio,
+        )
+        assert reference.ratio <= 0.05
 
     def test_vanishing_timelike_reference_is_an_error(self):
         lattice = self.lattice()
@@ -920,7 +945,7 @@ class TestMicrocausality:
         packet = GaussianPacket((0.0, 0.0, 0.0, 0.0), sigma_p=0.3)
         degenerate = (packet, packet)  # zero separation: kernel identically 0
         with pytest.raises(AlgebraError):
-            microcausality_ratio(degenerate, degenerate, lattice, 1.0, covariance=cov)
+            microcausality_ratio(packet_gram(degenerate, degenerate, lattice, cov))
 
     def test_packet_coefficients_carry_center_phase(self):
         lattice = MomentumLattice(3, 0.5)
