@@ -90,6 +90,11 @@ _REQUIRED_KEYS = (
     "dynamics.sampling_steps",
 )
 
+# Validation builds the grid's times to check them, so it bounds their count
+# first: 8 MB of times.  A correlator over that many keeps about T/2 phase
+# rows of N sites, far more than any run can hold.
+_MAX_GRID_TIMES = 1 << 20
+
 _SHELL_KINDS = ("fixed", "global_dynamic", "local_dynamic")
 _MICRO_SOURCES = ("exact", "mc")
 
@@ -267,6 +272,8 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         fail("grid.x_points", "must be at least 1")
     if cfg.grid_axis not in (1, 2, 3):
         fail("grid.axis", "must be 1, 2 or 3")
+    if cfg.grid_t_points > _MAX_GRID_TIMES:
+        fail("grid.t_points", f"must be at most {_MAX_GRID_TIMES}")
     try:
         # only the times can fail GridSpec's checks, so one spatial point will do
         GridSpec.plane(cfg.grid_t_extent, cfg.grid_t_points, 0.0, 1)

@@ -442,7 +442,6 @@ class TestMicrocausality:
         assert len(data_rows(tmp_path / "conservation.csv")) == 11
         assert (tmp_path / "checkpoint.ckpt").exists()
 
-
     def test_sampled_source_without_error_bars_says_so(self, tmp_path, capsys):
         # 800 samples in batches of 200: four batches, too few for error bars
         text = BASE.replace("dynamics.batch_len = 100", "dynamics.batch_len = 200")
@@ -523,8 +522,7 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-
-    def test_grid_times_gridspec_refuses_error_before_any_step(self, tmp_path, capsys):
+    def test_unevenly_spaced_grid_times_error_before_any_step(self, tmp_path, capsys):
         # 1e-320 is subnormal: its 11 times are not evenly spaced to 1e-12
         cfg = write_config(
             tmp_path, smoke_config() + f"grid.t_extent = 1e-320\noutput.dir = {tmp_path}/out\n"

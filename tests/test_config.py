@@ -90,6 +90,8 @@ class TestParsing:
             ("grid.t_extent", "-1.0", "must be nonnegative"),
             # subnormal: GridSpec finds its times unevenly spaced
             ("grid.t_extent", "1e-320", "grid times must be a nonempty, evenly spaced sequence"),
+            # checked before validation builds the times
+            ("grid.t_points", "10000000000000", "must be at most 1048576"),
             ("grid.x_extent", "-1.0", "must be nonnegative"),
         ],
     )
