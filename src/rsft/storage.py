@@ -142,7 +142,7 @@ def read_checkpoint(
     if zlib.crc32(payload) != stored:
         raise CheckpointError("checkpoint checksum mismatch")
     reader = _Reader(payload)
-    physics = basis = x = y = None
+    physics = basis = None
     # Every part is decoded inside one guard, so a part that passed the CRC
     # but does not decode, or that the generator refuses, is a
     # CheckpointError naming it.
