@@ -163,11 +163,11 @@ def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_fro
     return final, log.max_abs_total_action
 
 
-def _agreement(value: float, target: float, stderr: float | None, n_sigma: float = 5.0) -> bool:
+def _agreement(value: float, target: float, stderr: float | None) -> bool:
     diff = abs(value - target)
     if stderr is None or stderr == 0.0:
         return diff <= 1e-12 * max(1.0, abs(target))
-    return diff <= n_sigma * stderr
+    return diff <= 5.0 * stderr
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

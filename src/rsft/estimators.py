@@ -8,7 +8,8 @@ moments, phased field sums) and feeds it to BatchMeans, the single
 batch-means core: contiguous fixed-length batches folded into a running
 total as they close, an optional projection of each batch mean, and a
 standard error that is reported only once at least eight complete batches
-exist.
+exist.  A projection holds only the arrays it reads, never its accumulator,
+so an accumulator is freed by reference counting alone.
 
 A snapshot is a field array or a trajectory state, and `run` hands the
 sampled states of a trajectory over as blocks of their coordinates.  A
@@ -24,6 +25,7 @@ lifts each row of a block to its field, in buffers the block shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +38,8 @@ MAX_COVARIANCE_SITES = 64
 MAX_MGF_EPSILON = 0.1
 # log of the largest float: the exponential of anything below it is finite
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
+# grid times agree to this fraction of their largest |t|: even spacing, 0, mirrors
+TIME_RTOL = 1e-12
 
 
 class EstimatorError(RuntimeError):
@@ -292,8 +296,9 @@ class MgfAccumulator(_SampleStream):
         else:
             self._sites = np.array([self.site_p, self.site_q])
             self._signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        # a projection that held self would close a reference cycle
         self._moments = BatchMeans(
-            (len(self._signs),), batch_len, project=self._finite_difference
+            (len(self._signs),), batch_len, project=partial(self._finite_difference, self.eps)
         )
         super().__init__(self._moments)
 
@@ -314,11 +319,12 @@ class MgfAccumulator(_SampleStream):
             )
         return np.exp(exponents)
 
-    def _finite_difference(self, moments: np.ndarray) -> float:
+    @staticmethod
+    def _finite_difference(eps: float, moments: np.ndarray) -> float:
         logs = np.log(moments)
-        if self.site_p == self.site_q:
-            return float((logs[0] + logs[1]) / self.eps**2)
-        return float((logs[0] - logs[1] - logs[2] + logs[3]) / (4.0 * self.eps**2))
+        if logs.size == 2:
+            return float((logs[0] + logs[1]) / eps**2)
+        return float((logs[0] - logs[1] - logs[2] + logs[3]) / (4.0 * eps**2))
 
     def result(self) -> tuple[float, float | None, int]:
         """(estimate, batch-means stderr or None, sample count)."""
@@ -340,9 +346,9 @@ def _unit_phase(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     about twentyfold after a complex matmul (OpenBLAS 0.3.31).  Still,
     numpy runs float64 cos and sin on scalar libm: about 150 us each over
     15 625 angles on a 2-vCPU Xeon VM, against about 40 us for its
-    vectorised tan.  So this form serves the group phases, a fixed shell's
-    rows and an anchor phase, and the step of `_phase_rows` takes one
-    tangent per angle instead (`_tangent_phase`).
+    vectorised tan.  So this form serves the group phases and an anchor
+    phase, and the step of `_phase_rows` takes one tangent per angle
+    instead (`_tangent_phase`).
     """
     phase = np.empty(angles.shape, dtype=complex) if out is None else out
     np.cos(angles, out=phase.real)
@@ -372,54 +378,39 @@ def _tangent_phase(freqs, dt: float, out: np.ndarray, tangent: np.ndarray) -> np
 
 
 class _Workspace:
-    """The (N,) buffers of dynamic-shell samples: field, weights,
-    frequencies and tangent (real), and the rows and the step of
-    `_phase_rows` (complex).  Rows running both ways from the anchor
-    (`before` > 0) take a third complex buffer for the anchor row.
-    """
+    """The (N,) buffers of one phasing of site weights: field, weights,
+    frequencies and tangent (real), and the row and step of `_phase_rows`
+    (complex).  A dynamic-shell block shares one; a fixed-shell mean takes
+    its own."""
 
-    def __init__(self, n: int, before: int):
+    def __init__(self, n: int):
         self.field, self.weights, self.freqs, self.tangent = (np.empty(n) for _ in range(4))
         self.row = np.empty(n, dtype=complex)
         self.step = np.empty(n, dtype=complex)
-        self.start = np.empty(n, dtype=complex) if before else self.row
 
 
-def _phase_rows(anchor_time, dt, before, after, freqs, weights, put, work=None) -> None:
-    """put(before + j, row) for j = -before .. after, where row is
+def _phase_rows(anchor_time, dt, n_rows, freqs, weights, put, work) -> None:
+    """put(j, row) for j = 0 .. n_rows - 1, where row is
     weights * exp(i (anchor_time + j dt) freqs).
 
-    The rows are a recurrence from the anchor: row 0 is the weights, times
-    the unit phase of anchor_time freqs unless that time is 0; each later
-    row is the one before it times the one-step phase exp(i dt freqs), and
-    each earlier row the one after it times its conjugate.  So the rows cost
-    N tangents (and N real cos and sin when the anchor time is not 0)
-    however many there are, and the round-off grows by a few ulp per row
-    away from the anchor.  Each row is formed in a complex buffer of work
-    (a `_Workspace`, new if None) that put must not keep; work's tangent is
-    overwritten.  With real weights and anchor time 0, row -j is bitwise
-    the conjugate of row j.
+    A forward recurrence: row 0 is the weights, times the unit phase of
+    anchor_time freqs unless that time is 0, and each later row is the one
+    before it times exp(i dt freqs).  So the rows cost N tangents (and N cos
+    and sin off a zero anchor) however many there are, and the round-off
+    grows by a few ulp per row.  Each row is formed in the `_Workspace`
+    work, and put must not keep it.
     """
-    if work is None:
-        work = _Workspace(np.shape(freqs)[0], before)
-    start, row, step = work.start, work.row, work.step
+    row, step = work.row, work.step
     if anchor_time == 0.0:
-        start[...] = weights
+        row[...] = weights
     else:
-        _unit_phase(np.multiply(freqs, anchor_time, out=work.tangent), out=start)
-        np.multiply(weights, start, out=start)
+        _unit_phase(np.multiply(freqs, anchor_time, out=work.tangent), out=row)
+        np.multiply(weights, row, out=row)
     _tangent_phase(freqs, dt, step, work.tangent)
-    put(before, start)
-    if before:
-        np.copyto(row, start)
-    for k in range(before + 1, before + after + 1):
+    put(0, row)
+    for j in range(1, n_rows):
         np.multiply(row, step, out=row)
-        put(k, row)
-    if before:
-        np.conjugate(step, out=step)
-        for k in range(before - 1, -1, -1):
-            np.multiply(start, step, out=start)
-            put(k, start)
+        put(j, row)
 
 
 @dataclass(frozen=True)
@@ -435,7 +426,7 @@ class GridSpec:
         # the correlator builds its time phases by a recurrence in the
         # spacing, so the times must be an arithmetic sequence
         even = times[:1] + _time_step(times) * np.arange(times.size)
-        if times.size == 0 or np.abs(times - even).max() > 1e-12 * np.abs(times).max():
+        if times.size == 0 or np.abs(times - even).max() > TIME_RTOL * np.abs(times).max():
             raise ValueError("grid times must be a nonempty, evenly spaced sequence")
         object.__setattr__(self, "times", times)
         spatial = np.asarray(self.spatial, dtype=float).reshape(-1, 3)
@@ -477,34 +468,90 @@ class CorrelatorGrid:
     n_samples: int
 
 
+class _GridPhases:
+    """How a correlator phases site weights onto its grid, holding no
+    accumulator, so that a projection through it closes no reference cycle.
+
+    The spatial phase exp(-i p . yvec) depends on p only through its
+    integer coordinates on the axes where some spatial point is nonzero
+    (one axis on a plane grid: 25 groups of sites at 25^3).  `sums` forms
+    the time-phased rows of weights and frequencies in group `order` and
+    sums each over the G groups; `on_grid` maps (R, G) sums to the grid.
+    With real weights the row at -t is the conjugate of the one at t, so
+    where the times below the anchor mirror those above it (to TIME_RTOL)
+    only the R rows from the anchor on are formed: from 0 when a time is 0,
+    from t_a when t_{a-1} = -t_a, so R = ceil(T/2) on every plane grid;
+    otherwise from the first time, R = T.
+    """
+
+    def __init__(self, grid: GridSpec, momenta: np.ndarray, n: int):
+        moving = np.any(grid.spatial != 0.0, axis=0)
+        coords = np.indices((n, n, n)).reshape(3, -1) * moving[:, None]
+        key = np.ravel_multi_index(tuple(coords), (n, n, n))
+        order = np.argsort(key, kind="stable")
+        # sites are already in group order unless the moving axes are minor
+        self.order = slice(None) if np.all(np.diff(order) == 1) else order
+        key = key[self.order]
+        self.starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        # (G, S) phases exp(-i p . x) of one site of each group
+        self._group_phase = _unit_phase(-(momenta[self.order][self.starts] @ grid.spatial.T))
+        times, dt = grid.times, _time_step(grid.times)
+        tol = TIME_RTOL * np.abs(times).max()
+        a = int(np.argmin(np.abs(times)))
+        b = a + (1 if times[a] * dt < 0 else -1)  # t_a's neighbour across 0
+        # grid times i and pair - i are opposite
+        if abs(times[a]) <= tol:
+            anchor, pair = 0.0, 2 * a
+        elif 0 <= b < times.size and abs(times[a] + times[b]) <= tol:
+            anchor, pair = times[max(a, b)], a + b
+        else:
+            anchor, pair = times[0], 0
+        self._mirrored = (pair + 1) // 2  # the grid index of the anchor
+        i = np.arange(times.size)
+        self._time_index = np.where(i < self._mirrored, pair - i, i) - self._mirrored
+        self.n_rows = int(self._time_index.max()) + 1
+        self._span = (anchor, dt, self.n_rows)
+
+    def grouped(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """values in group order, put in out unless they are in it already."""
+        return values if isinstance(self.order, slice) else np.take(values, self.order, out=out)
+
+    def sums(self, freqs: np.ndarray, weights: np.ndarray, work: _Workspace) -> np.ndarray:
+        """(R, G) group sums of weights * exp(i t freqs), all in group order."""
+        sums = np.empty((self.n_rows, self.starts.size), dtype=complex)
+
+        def put(j: int, row: np.ndarray) -> None:
+            np.add.reduceat(row, self.starts, out=sums[j])
+
+        _phase_rows(*self._span, freqs, weights, put, work)
+        return sums
+
+    def on_grid(self, sums: np.ndarray) -> np.ndarray:
+        """(T, S) grid of (R, G) group sums."""
+        grid = sums[self._time_index]
+        mirrored = grid[: self._mirrored]
+        np.conjugate(mirrored, out=mirrored)
+        return grid @ self._group_phase
+
+    def sites_on_grid(self, freqs: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """(T, S) grid of an (N,) site mean at frequencies in group order."""
+        work = _Workspace(mean.shape[0])
+        return self.on_grid(self.sums(freqs, self.grouped(mean, work.weights), work))
+
+
 class CorrelatorAccumulator(_SampleStream):
     """Spacetime two-point correlator estimator.
 
     Per snapshot the estimator accumulates A(l) * B(y, l) with
     A = sum_{p'} phi(p') and B(y) = sum_p phi(p) exp(i(omega_p y0 - p . yvec)),
-    the factorized form of the double sum over site pairs.
-
-    The spatial phase exp(-i p . yvec) depends on p only through its integer
-    site coordinates on the axes where some spatial point is nonzero: one
-    axis on a `GridSpec.plane` grid, so 25 groups of sites at 25^3.  The
-    sites are put in group order once, and every time-phased row is summed
-    over each group before it is stored, so a batch holds (R, G) rows for
-    G groups and is mapped to the (T, S) grid through the (G, S) group
-    phases.  The time phases come from `_phase_rows`, anchored at the grid
-    time t_a nearest zero.  When t_a is 0, as on every odd plane grid, the
-    rows (real weights) at t_a - j dt are the conjugates of those at
-    t_a + j dt, so only the R = max(a, T-1-a) + 1 rows j >= 0 are formed and
-    the projection unfolds the mean; otherwise R = T.
-
-    On a fixed shell the time phases are constant: only the (N,) vector
-    A * phi is accumulated (a block of coordinates adds (sum_b c_b) Q, with
-    c_j = sqrt(N) x_0 x_j since the first row of Q is 1/sqrt(N)), and a
-    batch mean is phased by the (R, N) time rows and summed over the groups.
-    A dynamic shell re-evaluates omega_p from the snapshot's field, so each
-    sample forms its R rows in an (N,) buffer and sums each over the groups,
-    O(R N) work in O(N + R G) memory.  A block of samples shares one
-    `_Workspace`, which it frees when it ends: each row is lifted into it
-    and its sample is formed there with no other (N,) array.
+    the factorized form of the double sum over site pairs, phasing the
+    weights A * phi through a `_GridPhases`.  On a fixed shell omega_p is
+    constant: only the (N,) vector A * phi is accumulated (a block of
+    coordinates adds (sum_b c_b) Q, with c_j = sqrt(N) x_0 x_j since the
+    first row of Q is 1/sqrt(N)), and each batch mean, and the final mean,
+    is phased as one sample is.  A dynamic shell re-evaluates omega_p from
+    the snapshot's field, so each sample forms its R rows, O(R N) work, in
+    the `_Workspace` its block shares and with no other (N,) array.
     """
 
     def __init__(
@@ -520,89 +567,44 @@ class CorrelatorAccumulator(_SampleStream):
         # |p|^2 as `omega` sums it, so a dynamic shell's per-sample
         # frequencies are omega's bits without re-summing the momenta
         self._p_squared = np.sum(momenta * momenta, axis=-1)
-        n = lattice.n_per_axis
-        moving = np.any(grid.spatial != 0.0, axis=0)
-        coords = np.indices((n, n, n)).reshape(3, -1) * moving[:, None]
-        key = np.ravel_multi_index(tuple(coords), (n, n, n))
-        order = np.argsort(key, kind="stable")
-        # sites are already in group order unless the moving axes are minor
-        self._order = slice(None) if np.all(np.diff(order) == 1) else order
-        key = key[self._order]
-        self._starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        # (G, S) phases exp(-i p . x) of one site of each group
-        members = momenta[self._order]
-        self._group_phase = _unit_phase(-(members[self._starts] @ grid.spatial.T))
-        # (anchor time, dt, rows before it, rows after it) for `_phase_rows`
-        times = grid.times
-        a, last = int(np.argmin(np.abs(times))), times.size - 1
-        if times[a] == 0.0:
-            self._span = (0.0, _time_step(times), 0, max(a, last - a))
-            self._time_index, self._mirrored = np.abs(np.arange(last + 1) - a), a
-        else:
-            self._span = (times[a], _time_step(times), a, last - a)
-            self._time_index, self._mirrored = np.arange(last + 1), 0
-        n_rows = self._span[2] + self._span[3] + 1
+        phases = self._phases = _GridPhases(grid, momenta, lattice.n_per_axis)
         if isinstance(shell, FixedShell):
-            time_rows = np.empty((n_rows, momenta.shape[0]), dtype=complex)
-            freqs = omega(members, shell.mass)
-            _phase_rows(*self._span, freqs, 1.0, time_rows.__setitem__)
+            freqs = omega(momenta[phases.order], shell.mass)
             self._root_n = float(np.sqrt(lattice.site_count))
-            self._sums = BatchMeans(
-                (lattice.site_count,),
-                batch_len,
-                project=lambda mean: self._on_grid(
-                    np.add.reduceat(time_rows * mean[self._order], self._starts, axis=1)
-                ),
-            )
+            project = partial(phases.sites_on_grid, freqs)
+            self._sums = BatchMeans((lattice.site_count,), batch_len, project=project)
         else:
-            self._sums = BatchMeans(
-                (n_rows, self._starts.size), batch_len, complex, project=self._on_grid
-            )
+            shape = (phases.n_rows, phases.starts.size)
+            self._sums = BatchMeans(shape, batch_len, complex, project=phases.on_grid)
         super().__init__(self._sums)
-
-    def _on_grid(self, rows: np.ndarray) -> np.ndarray:
-        """(T, S) grid of (R, G) group sums of time-phased rows."""
-        grid = rows[self._time_index]
-        mirrored = grid[: self._mirrored]
-        np.conjugate(mirrored, out=mirrored)
-        return grid @ self._group_phase
 
     def _add_site(self, phi: np.ndarray) -> None:
         if isinstance(self.shell, FixedShell):
             self._sums.add(float(np.sum(phi)) * phi)
             return
-        self._add_sample(_Workspace(phi.shape[0], self._span[2]), phi)
+        self._add_sample(_Workspace(phi.shape[0]), phi)
 
     def _add_block(self, basis: np.ndarray, coords: np.ndarray) -> None:
         if isinstance(self.shell, FixedShell):
             weights = self._root_n * (coords[:, 0] @ coords)
             self._sums.add(weights @ basis, coords.shape[0])
             return
-        work = _Workspace(basis.shape[1], self._span[2])
+        work = _Workspace(basis.shape[1])
         for x in coords:
             self._add_sample(work, _lift(basis, x, work.field, work.tangent))
 
     def _add_sample(self, work: _Workspace, phi: np.ndarray) -> None:
-        """Add the (R, G) group sums of one dynamic-shell sample, formed in
-        work without another (N,) array."""
+        """Add the (R, G) group sums of one dynamic-shell sample."""
         total = float(np.sum(phi))
         masses = effective_masses(self.shell, phi, out=work.freqs)
         freqs = np.multiply(masses, masses, out=work.freqs)
         np.add(self._p_squared, freqs, out=freqs)
         np.sqrt(freqs, out=freqs)
         weights = np.multiply(phi, total, out=work.weights)
-        if not isinstance(self._order, slice):
-            # group order; phi, which may be work.field, is used up
-            weights = np.take(weights, self._order, out=work.field)
-            freqs = np.take(freqs, self._order, out=work.weights)
-        sample = np.empty(self._sums.total.shape, dtype=complex)
-        starts = self._starts
-
-        def put(k: int, row: np.ndarray) -> None:
-            np.add.reduceat(row, starts, out=sample[k])
-
-        _phase_rows(*self._span, freqs, weights, put, work)
-        self._sums.add(sample)
+        # phi, which may be work.field, is used up
+        weights = self._phases.grouped(weights, work.field)
+        freqs = self._phases.grouped(freqs, work.weights)
+        self._sums.add(self._phases.sums(freqs, weights, work))
 
     def result(self, source: str = "mc") -> CorrelatorGrid:
         self._sum_buffer()

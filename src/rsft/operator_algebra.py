@@ -185,15 +185,14 @@ class HilbertContext:
     def inner_product(self, obs_a: LinearObservable, obs_b: LinearObservable) -> complex:
         return self.covariance.quadratic_form(obs_a.coeffs, obs_b.coeffs)
 
-    def coords(self, obs: LinearObservable, rtol: float | None = None) -> np.ndarray:
+    def coords(self, obs: LinearObservable) -> np.ndarray:
         """Coordinates of an observable in the orthonormal one-particle basis.
 
         Fails if the observable keeps a component in the discarded null
-        space or outside the family span beyond the relative tolerance,
-        which by default scales with the quotient tolerance.
+        space or outside the family span beyond a relative tolerance that
+        scales with the quotient tolerance.
         """
-        if rtol is None:
-            rtol = max(COORD_RESIDUAL_RTOL, 10.0 * self.tol)
+        rtol = max(COORD_RESIDUAL_RTOL, 10.0 * self.tol)
         overlaps = np.array(
             [self.inner_product(basis_obs, obs) for basis_obs in self.observables]
         )
@@ -517,12 +516,11 @@ def commutator_check(
 @dataclass(frozen=True)
 class GaussianPacket:
     """Gaussian momentum-space packet carrying the on-shell phase of a
-    spacetime center: J(p) = exp(-|p - carrier|^2 / (2 sigma_p^2))
+    spacetime center: J(p) = exp(-|p|^2 / (2 sigma_p^2))
     * exp(i (omega_p t - p . x)) for center (t, x)."""
 
     center: tuple[float, float, float, float]
     sigma_p: float
-    carrier: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not self.sigma_p > 0:
@@ -531,8 +529,7 @@ class GaussianPacket:
 
 def packet_envelope(packet: GaussianPacket, lattice: MomentumLattice) -> np.ndarray:
     momenta = lattice.site_momenta()
-    offset = momenta - np.asarray(packet.carrier, dtype=float)
-    return np.exp(-np.sum(offset * offset, axis=1) / (2.0 * packet.sigma_p**2))
+    return np.exp(-np.sum(momenta * momenta, axis=1) / (2.0 * packet.sigma_p**2))
 
 
 def packet_coefficients(

@@ -18,7 +18,9 @@ resumed trajectory steps exactly as the unbroken one.  The writer records
 k >= 1; a file with k = 0, and versions 2 (header `RSFT-CKPT v2`, no basis)
 and 1 (header `RSFT-CKPT v1`, neither physics record nor basis), stay
 readable: the state read gets a basis derived from its arrays, and a
-version 1 file carries no physics to check.  A checkpoint is written to a
+version 1 file carries no physics to check.  A stored basis must be
+orthonormal with first row 1/sqrt(N), and the stored field and momentum
+must be its lifted coordinates; a file that is not is refused.  A checkpoint is written to a
 temporary file in the same directory and renamed onto its path, so a crash
 mid-write leaves the previous checkpoint intact.
 
@@ -30,6 +32,7 @@ digits so re-emission of the same data is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -37,7 +40,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .dynamics import ExtendedState
+from .dynamics import SUBSPACE_RANK_TOLERANCE, ExtendedState, _lift
 from .estimators import CorrelatorGrid
 
 CHECKPOINT_MAGIC = b"RSFT-CKPT v3\n"
@@ -123,6 +126,26 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _check_basis(basis: np.ndarray, arrays) -> None:
+    """Refuse a basis whose rows are not orthonormal or whose first row is
+    not 1/sqrt(N), and stored (name, array, coordinates) that are not the
+    lifted coordinates, each to SUBSPACE_RANK_TOLERANCE: the accuracy to
+    which a state's arrays are held in its basis."""
+    k, n = basis.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(basis @ basis.T - np.eye(k)).max()
+    if not off <= SUBSPACE_RANK_TOLERANCE:
+        raise CheckpointError(f"checkpoint basis rows are not orthonormal (off by {off:.3g})")
+    if not np.abs(math.sqrt(n) * basis[0] - 1.0).max() <= SUBSPACE_RANK_TOLERANCE:
+        raise CheckpointError("checkpoint basis: the first row is not 1/sqrt(N)")
+    for name, stored, coords in arrays:
+        miss = np.linalg.norm(stored - _lift(basis, coords))
+        if not miss <= SUBSPACE_RANK_TOLERANCE * np.linalg.norm(stored):
+            raise CheckpointError(
+                f"checkpoint {name} is not its basis coordinates lifted (off by {miss:.3g})"
+            )
+
+
 def read_checkpoint(
     path, expect: Mapping[str, str | float]
 ) -> tuple[ExtendedState, np.random.Generator]:
@@ -199,6 +222,7 @@ def read_checkpoint(
     if basis is None:
         state = ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0, step_count)
     else:
+        _check_basis(basis, (("phi", phi, x), ("pi_phi", pi_phi, y)))
         state = ExtendedState(basis, x, y, s, pi_s, s0, step_count, phi, pi_phi)
     return state, np.random.Generator(bit_generator)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import struct
 import tracemalloc
@@ -233,6 +234,33 @@ def nan_first_site(phi):
     return struct.pack("<d", float("nan")) + phi[8:]
 
 
+def first_site_off_by_one(phi):
+    return struct.pack("<d", struct.unpack_from("<d", phi)[0] + 1.0) + phi[8:]
+
+
+def basis_entry_at_1e300(basis):
+    # after the dimension k, the first entry of the first row
+    return basis[:4] + struct.pack("<d", 1e300) + basis[12:]
+
+
+def basis_row_bytes(basis):
+    (k,) = struct.unpack_from("<I", basis)
+    return (len(basis) - 4 - 16 * k) // k
+
+
+def doubled_basis_row(basis):
+    """The first row of the basis over its second."""
+    row = basis_row_bytes(basis)
+    return basis[: 4 + row] + basis[4 : 4 + row] + basis[4 + 2 * row :]
+
+
+def swapped_basis_rows(basis):
+    """The first two rows of the basis swapped: still orthonormal."""
+    row = basis_row_bytes(basis)
+    first, second = basis[4 : 4 + row], basis[4 + row : 4 + 2 * row]
+    return basis[:4] + second + first + basis[4 + 2 * row :]
+
+
 def bath_at_minus_one(scalars):
     _s, pi_s, s0 = struct.unpack("<ddd", scalars)
     return struct.pack("<ddd", -1.0, pi_s, s0)
@@ -251,6 +279,10 @@ class TestCraftedCheckpoints:
             ("generator state", generator_state_with_string_increment, "generator state"),
             ("scalars", bath_at_minus_one, "s = -1.0"),
             ("phi", nan_first_site, "non-finite"),
+            ("basis", basis_entry_at_1e300, "basis rows"),
+            ("basis", doubled_basis_row, "basis rows"),
+            ("basis", swapped_basis_rows, "first row"),
+            ("phi", first_site_off_by_one, "checkpoint phi"),
         ],
     )
     def test_resume_errors(self, tmp_path, capsys, part, corrupt, message):
@@ -608,3 +640,37 @@ class TestSampledBlocks:
         assert sum(lengths) == 20_000
         assert max(lengths) == COORDINATE_BUFFER_LEN
         assert peak <= 150_000, peak
+
+
+class TestReferenceCycles:
+    @pytest.mark.parametrize(
+        "subcommand, shell",
+        [
+            ("correlator", "fixed"),
+            ("correlator", "local_dynamic"),
+            ("covariance", "fixed"),
+            ("mgf-check", "fixed"),
+            ("simulate", "fixed"),
+            ("fock-check", None),
+            ("microcausality", None),
+        ],
+    )
+    def test_a_warmed_up_run_leaves_nothing_to_the_cycle_collector(
+        self, tmp_path, capsys, subcommand, shell
+    ):
+        # everything a run makes is freed by reference counting, so its
+        # peak memory does not depend on when the collector runs
+        if shell is None:
+            args = [subcommand, "--output-dir", str(tmp_path / "out")]
+        else:
+            text = BASE.replace("shell.kind = fixed", f"shell.kind = {shell}")
+            cfg = write_config(tmp_path, text + f"output.dir = {tmp_path}/out\n")
+            args = [subcommand, "--config", cfg]
+        main(args)  # imports and caches are made once per process
+        gc.collect()
+        gc.disable()
+        try:
+            main(args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

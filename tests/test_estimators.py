@@ -1,4 +1,7 @@
+import gc
 import tracemalloc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from rsft.estimators import (
     GridSpec,
     MgfAccumulator,
     VarianceAccumulator,
+    _Workspace,
     _phase_rows,
     _tangent_phase,
     default_batch_len,
@@ -368,7 +372,8 @@ class TestMgf:
         eps = 0.07
         patterns = ((1, 1), (1, -1), (-1, 1), (-1, -1))
         got = feed(MgfAccumulator(p, q, eps, batch_len=100), samples)
-        want = BatchMeans((2 if p == q else 4,), 100, project=got._finite_difference)
+        project = partial(MgfAccumulator._finite_difference, eps)
+        want = BatchMeans((2 if p == q else 4,), 100, project=project)
         for phi in samples:
             if p == q:
                 exponents = np.array([eps * phi[p], -eps * phi[p]])
@@ -450,6 +455,16 @@ def assert_matches_direct(grid_spec, lattice, shell, samples, batch_len, rtol):
     values, se_re, se_im = feed(DirectCorrelator(grid_spec, lattice, shell, batch_len), samples).result()
     for mine, direct in ((got.values, values), (got.stderr_re, se_re), (got.stderr_im, se_im)):
         assert np.abs(mine - direct).max() <= rtol * np.abs(direct).max()
+
+
+def assert_matches_direct_at_25(times, shell, seed):
+    """The grid at 25^3 on a plane along axis 1 matches direct exponentials
+    within 1e-12 of the largest magnitude."""
+    rng = np.random.default_rng(seed)
+    lattice = MomentumLattice(25, 0.1)
+    samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+    grid_spec = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 5, axis=1).spatial)
+    assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
 
 
 class TestCorrelator:
@@ -545,12 +560,20 @@ class TestCorrelator:
         ids=["even_count", "off_zero", "single"],
     )
     def test_recurrence_anchored_off_zero_matches_direct_exponentials(self, times, shell):
-        # no grid time is 0, so the anchor row takes its own phase
-        rng = np.random.default_rng(34)
-        lattice = MomentumLattice(25, 0.1)
-        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
-        grid_spec = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 5, axis=1).spatial)
-        assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
+        # no grid time is 0, so the anchor row takes its own phase: the
+        # positive time of the pair around 0 (20 times) or the first time
+        assert_matches_direct_at_25(times, shell, seed=34)
+
+    @pytest.mark.parametrize("shell", [FixedShell(1.0), GlobalDynamicShell(), LocalDynamicShell()])
+    def test_middle_time_off_zero_by_round_off_still_folds(self, shell):
+        # the middle one of 95 times over [-3, 3] is -4e-16, within
+        # TIME_RTOL of 0, so the rows from 0 on are formed, 48 of them
+        times = np.linspace(-3.0, 3.0, 95)
+        assert times[47] != 0.0
+        grid_spec = GridSpec(times, np.zeros((1, 3)))
+        acc = CorrelatorAccumulator(grid_spec, MomentumLattice(2, 0.1), shell, batch_len=2)
+        assert acc._phases.n_rows == 48
+        assert_matches_direct_at_25(times, shell, seed=40)
 
     @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
     @pytest.mark.parametrize("axis", [1, 2, 3])
@@ -585,24 +608,80 @@ class TestCorrelator:
         assert acc._sums.total.shape == (11, 25)
         assert peak < grid_spec.times.size * lattice.site_count * 16
 
-    def test_mirrored_phase_rows_are_bitwise_conjugates(self):
-        # the fold rests on this: from t_a = 0 with real weights, the
-        # recurrence backwards is the conjugate of the one forwards
+    @pytest.mark.parametrize("shell", [FixedShell(1.0), LocalDynamicShell()])
+    @pytest.mark.parametrize(
+        "times, n_rows",
+        [
+            (np.linspace(3.0, -3.0, 20), 10),
+            (np.linspace(3.0, -3.0, 21), 11),
+            (-0.9 + 0.3 * np.arange(12), 9),
+            (-0.75 + 0.5 * np.arange(9), 7),
+            (np.array([-0.2, 0.2]), 1),
+            (np.array([0.0]), 1),
+            (0.1 + 0.3 * np.arange(5), 5),
+        ],
+        ids=["descending_even", "descending_odd", "lopsided_zero", "lopsided_pair", "pair",
+             "zero", "off_zero"],
+    )
+    def test_fold_forms_the_rows_from_the_anchor_on(self, times, n_rows, shell):
+        # times below the anchor are read as conjugates wherever they mirror
+        # those above it, whichever way the grid runs
+        rng = np.random.default_rng(42)
+        lattice = MomentumLattice(5, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+        grid_spec = GridSpec(times, GridSpec.plane(3.0, 1, 3.0, 5, axis=1).spatial)
+        acc = CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=2)
+        assert acc._phases.n_rows == n_rows
+        assert_matches_direct(grid_spec, lattice, shell, samples, batch_len=2, rtol=1e-12)
+
+    @pytest.mark.parametrize("t_points", [21, 201])
+    def test_fixed_shell_flush_peaks_below_four_megabytes(self, t_points):
+        # a fixed shell keeps its frequencies, not (R, N) time rows, and
+        # phases a batch mean in (N,) buffers, as one dynamic-shell sample
+        lattice = MomentumLattice(25, 0.1)
+        phi = synthetic_free_samples(np.random.default_rng(41), lattice.site_count, 1.0, 1)[0]
+        grid_spec = GridSpec.plane(3.0, t_points, 3.0, 21, axis=1)
+        tracemalloc.start()
+        try:
+            acc = CorrelatorAccumulator(grid_spec, lattice, FixedShell(1.0), batch_len=1)
+            acc.add(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(acc._sums.batch_means) == 1
+        assert peak < 4e6, peak
+
+    @pytest.mark.parametrize("shell", [FixedShell(1.0), GlobalDynamicShell(), LocalDynamicShell()])
+    @pytest.mark.parametrize("t_points", [21, 20, 95])
+    def test_mirrored_times_are_bitwise_conjugates(self, t_points, shell):
+        # the fold rests on this: with real weights the grid at -t is read
+        # as the conjugate of the row at t, on odd grids (the middle time of
+        # 95 points is 4e-16, not 0) and even ones alike; at the spatial
+        # origin the group phase is 1, so the grid is that row's sum
         rng = np.random.default_rng(37)
-        freqs = np.sqrt(rng.uniform(0.0, 3.0, 500) + rng.normal(size=500) ** 2)
-        weights = rng.normal(size=500)
-        rows = np.empty((21, 500), dtype=complex)
-        _phase_rows(0.0, 0.3, 10, 10, freqs, weights, rows.__setitem__)
-        for k in range(11):
-            np.testing.assert_array_equal(rows[10 - k], np.conj(rows[10 + k]))
-        assert np.all(rows[10].imag == 0.0) and np.any(rows[11].imag != 0.0)
+        lattice = MomentumLattice(5, 0.1)
+        samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 16)
+        grid_spec = GridSpec.plane(3.0, t_points, 0.0, 1, axis=1)
+        got = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=2), samples).result()
+        assert np.any(got.values.imag != 0.0) and np.any(got.stderr_im != 0.0)
+        np.testing.assert_array_equal(got.values[::-1], np.conj(got.values))
+        np.testing.assert_array_equal(got.stderr_re[::-1], got.stderr_re)
+        np.testing.assert_array_equal(got.stderr_im[::-1], got.stderr_im)
+
+    @pytest.mark.parametrize("t_extent", [3.0, 0.7])
+    def test_every_plane_grid_forms_half_its_rows(self, t_extent):
+        lattice = MomentumLattice(2, 0.1)
+        for t_points in range(1, 401):
+            grid_spec = GridSpec.plane(t_extent, t_points, 3.0, 5, axis=1)
+            acc = CorrelatorAccumulator(grid_spec, lattice, LocalDynamicShell(), batch_len=2)
+            assert acc._sums.total.shape == ((t_points + 1) // 2, 2), t_points
 
     @pytest.mark.parametrize("shell", [GlobalDynamicShell(), LocalDynamicShell()])
     def test_dynamic_shell_frequencies_are_omega_bitwise(self, shell):
         # the accumulator sums |p|^2 once; every sample's frequencies must
         # still be omega's, bit for bit.  The spatial points move on all
         # three axes, so every site is its own group, and the grid equals
-        # the two-sided (T, N) rows, unfolded, to the bit
+        # the (T, N) rows unfolded from t = 0, to the bit
         rng = np.random.default_rng(30)
         lattice = MomentumLattice(5, 0.1)
         samples = synthetic_free_samples(rng, lattice.site_count, 1.0, 40)
@@ -611,12 +690,16 @@ class TestCorrelator:
         got = feed(CorrelatorAccumulator(grid_spec, lattice, shell, batch_len=5), samples).result()
         momenta = lattice.site_momenta()
         spatial_phase = np.exp(-1j * (momenta @ spatial.T))
-        rows = np.empty((grid_spec.times.size, lattice.site_count), dtype=complex)
-        reference = BatchMeans(rows.shape, 5, complex, project=lambda mean: mean @ spatial_phase)
+        rows = np.empty((4, lattice.site_count), dtype=complex)
+        reference = BatchMeans(
+            (7, rows.shape[1]), 5, complex, project=lambda mean: mean @ spatial_phase
+        )
+        work = _Workspace(lattice.site_count)
         for phi in samples:
             freqs = omega(momenta, effective_masses(shell, phi))
-            _phase_rows(0.0, 1.0, 3, 3, freqs, float(np.sum(phi)) * phi, rows.__setitem__)
-            reference.add(rows)
+            _phase_rows(0.0, 1.0, 4, freqs, float(np.sum(phi)) * phi, rows.__setitem__, work)
+            # times -3 .. -1 are the conjugates of 3 .. 1
+            reference.add(np.concatenate((np.conj(rows[:0:-1]), rows)))
         np.testing.assert_array_equal(got.values, reference.mean().reshape(-1))
         for mine, want in zip((got.stderr_re, got.stderr_im), reference.stderr()):
             np.testing.assert_array_equal(mine, want.reshape(-1))
@@ -953,3 +1036,29 @@ class TestBlockPath:
             assert count == want_count == 1000
             for value, target in zip(got, want):
                 assert np.array_equal(value, target), type(mine).__name__
+
+
+KINDS = ["variance", "covariance", "mgf", "fixed_shell", "global_shell", "local_shell", "gram"]
+
+
+class TestReferenceCycles:
+    @pytest.mark.parametrize("kind", range(len(KINDS)), ids=KINDS)
+    def test_accumulator_is_freed_without_the_cycle_collector(self, kind):
+        # a batch projection holds only the arrays it reads, never its
+        # accumulator, so the accumulator and its batches go with its last
+        # reference, and peak memory does not wait for the collector
+        lattice, _, state = trajectory(3, COLLECTIVE, seed=3)
+        acc = every_accumulator(lattice, 2)[kind]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                acc.add(state)
+                acc.add(state.phi)
+            every_output(acc)
+            freed = weakref.ref(acc)
+            del acc
+            assert freed() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
