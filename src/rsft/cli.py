@@ -54,17 +54,7 @@ _FOCK_DEFAULTS = RunConfig(
     sampling_steps=0,
 )
 
-_MICRO_DEFAULTS = RunConfig(
-    n_per_axis=25,
-    spacing=0.1,
-    beta=1.0,
-    mass=1.0,
-    action_kind="free",
-    shell_kind="fixed",
-    dlambda=0.01,
-    equilibration_steps=0,
-    sampling_steps=0,
-)
+_MICRO_DEFAULTS = replace(_FOCK_DEFAULTS, n_per_axis=25, action_kind="free")
 
 MICRO_ORACLE_AGREEMENT_TOL = 1e-10
 
@@ -163,9 +153,9 @@ def _run_trajectory(cfg: RunConfig, subcommand: str, accumulators=(), resume_fro
     return final, log.max_abs_total_action
 
 
-def _agreement(value: float, target: float, stderr: float | None) -> bool:
+def _agreement(value: float, target: float, stderr: float) -> bool:
     diff = abs(value - target)
-    if stderr is None or stderr == 0.0:
+    if stderr == 0.0:
         return diff <= 1e-12 * max(1.0, abs(target))
     return diff <= 5.0 * stderr
 
@@ -278,19 +268,10 @@ def cmd_covariance(cfg: RunConfig) -> int:
     for i in range(len(sites)):
         for j in range(len(sites)):
             target = cov.diag if i == j else cov.offdiag
-            se = float(block.stderr[i, j]) if block.stderr is not None else None
+            se = float(block.stderr[i, j])
             ok = _agreement(float(block.matrix[i, j]), target, se)
             block_agree += ok
-            block_rows.append(
-                (
-                    sites[i],
-                    sites[j],
-                    float(block.matrix[i, j]),
-                    float("nan") if se is None else se,
-                    target,
-                    ok,
-                )
-            )
+            block_rows.append((sites[i], sites[j], float(block.matrix[i, j]), se, target, ok))
     storage.emit_table_csv(
         _out_path(cfg, "covariance_block.csv"),
         ("site_i", "site_j", "covariance", "stderr", "oracle", "agrees"),
@@ -519,10 +500,9 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             cfg = config_from_file(args.config)
-        elif args.subcommand in _DEFAULT_CONFIGS:
-            cfg = _DEFAULT_CONFIGS[args.subcommand]
         else:
-            return _fail("a --config file is required")
+            # argparse requires --config of every other subcommand
+            cfg = _DEFAULT_CONFIGS[args.subcommand]
         if args.output_dir is not None:
             cfg = replace(cfg, output_dir=args.output_dir)
         if args.subcommand == "resume":

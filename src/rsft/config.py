@@ -9,7 +9,7 @@ naming the offending line and key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any
 
 from .action import BathParams, MatterActionKind
@@ -39,64 +39,66 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _format_pairs(pairs) -> str:
-    return ",".join(f"{p}:{q}" for p, q in pairs)
+# A check is a (test, message) pair: a set value that fails the test is
+# rejected with the message.
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 
 
-# key -> (attribute, converter, formatter)
+def _one_of(choices) -> tuple:
+    return (lambda v: v in choices, f"must be one of {sorted(choices)}")
+
+
+# key -> (attribute, converter, check or None), in header order.  Float keys
+# must also be finite; the checks that read more than one key are in
+# `_validate`.
 _SCHEMA: dict[str, tuple[str, Any, Any]] = {
-    "lattice.n_per_axis": ("n_per_axis", int, str),
-    "lattice.spacing": ("spacing", float, repr),
-    "physics.beta": ("beta", float, repr),
-    "physics.mass": ("mass", float, repr),
-    "physics.m_s": ("m_s", float, repr),
-    "action.kind": ("action_kind", str, str),
-    "shell.kind": ("shell_kind", str, str),
-    "dynamics.dlambda": ("dlambda", float, repr),
-    "dynamics.equilibration_steps": ("equilibration_steps", int, str),
-    "dynamics.sampling_steps": ("sampling_steps", int, str),
-    "dynamics.thin_stride": ("thin_stride", int, str),
-    "dynamics.batch_len": ("batch_len", int, str),
-    "seed": ("seed", int, str),
-    "grid.t_extent": ("grid_t_extent", float, repr),
-    "grid.t_points": ("grid_t_points", int, str),
-    "grid.x_extent": ("grid_x_extent", float, repr),
-    "grid.x_points": ("grid_x_points", int, str),
-    "grid.axis": ("grid_axis", int, str),
-    "covariance.n_sites": ("covariance_n_sites", int, str),
-    "mgf.pairs": ("mgf_pairs", _parse_pairs, _format_pairs),
-    "mgf.epsilon": ("mgf_epsilon", float, repr),
-    "micro.sigma_p": ("micro_sigma_p", float, repr),
-    "micro.separation": ("micro_separation", float, repr),
-    "micro.threshold": ("micro_threshold", float, repr),
-    "micro.source": ("micro_source", str, str),
-    "fock.n_observables": ("fock_n_observables", int, str),
-    "fock.n_max": ("fock_n_max", int, str),
-    "fock.tol": ("fock_tol", float, repr),
-    "output.dir": ("output_dir", str, str),
-    "output.checkpoint_every": ("checkpoint_every", int, str),
-    "output.log_every": ("log_every", int, str),
+    "lattice.n_per_axis": ("n_per_axis", int, (lambda v: v >= 1, "must be a positive integer")),
+    "lattice.spacing": ("spacing", float, _POSITIVE),
+    "physics.beta": ("beta", float, _POSITIVE),
+    "physics.mass": ("mass", float, _NONNEGATIVE),
+    "physics.m_s": ("m_s", float, _POSITIVE),
+    "action.kind": ("action_kind", str, _one_of([kind.value for kind in MatterActionKind])),
+    "shell.kind": ("shell_kind", str, _one_of(["fixed", "global_dynamic", "local_dynamic"])),
+    "dynamics.dlambda": ("dlambda", float, (_POSITIVE[0], "dlambda must be positive")),
+    "dynamics.equilibration_steps": ("equilibration_steps", int, _NONNEGATIVE),
+    "dynamics.sampling_steps": ("sampling_steps", int, _NONNEGATIVE),
+    "dynamics.thin_stride": ("thin_stride", int, _AT_LEAST_1),
+    "dynamics.batch_len": ("batch_len", int, _AT_LEAST_1),
+    "seed": ("seed", int, (lambda v: 0 <= v < 2**64, "must fit in 64 unsigned bits")),
+    "grid.t_extent": ("grid_t_extent", float, _NONNEGATIVE),
+    "grid.t_points": ("grid_t_points", int, _AT_LEAST_1),
+    "grid.x_extent": ("grid_x_extent", float, _NONNEGATIVE),
+    "grid.x_points": ("grid_x_points", int, _AT_LEAST_1),
+    "grid.axis": ("grid_axis", int, (lambda v: v in (1, 2, 3), "must be 1, 2 or 3")),
+    "covariance.n_sites": (
+        "covariance_n_sites",
+        int,
+        (lambda v: 1 <= v <= MAX_COVARIANCE_SITES, f"must be between 1 and {MAX_COVARIANCE_SITES}"),
+    ),
+    "mgf.pairs": ("mgf_pairs", _parse_pairs, None),
+    "mgf.epsilon": (
+        "mgf_epsilon",
+        float,
+        (lambda v: 0 < v <= MAX_MGF_EPSILON, f"must be in (0, {MAX_MGF_EPSILON}]"),
+    ),
+    "micro.sigma_p": ("micro_sigma_p", float, _POSITIVE),
+    "micro.separation": ("micro_separation", float, _POSITIVE),
+    "micro.threshold": ("micro_threshold", float, _POSITIVE),
+    "micro.source": ("micro_source", str, _one_of(["exact", "mc"])),
+    "fock.n_observables": ("fock_n_observables", int, _AT_LEAST_1),
+    "fock.n_max": ("fock_n_max", int, _AT_LEAST_1),
+    "fock.tol": ("fock_tol", float, _POSITIVE),
+    "output.dir": ("output_dir", str, None),
+    "output.checkpoint_every": ("checkpoint_every", int, _AT_LEAST_1),
+    "output.log_every": ("log_every", int, _AT_LEAST_1),
 }
-
-_REQUIRED_KEYS = (
-    "lattice.n_per_axis",
-    "lattice.spacing",
-    "physics.beta",
-    "physics.mass",
-    "action.kind",
-    "shell.kind",
-    "dynamics.dlambda",
-    "dynamics.equilibration_steps",
-    "dynamics.sampling_steps",
-)
 
 # Validation builds the grid's times to check them, so it bounds their count
 # first: 8 MB of times.  A correlator over that many keeps about T/2 phase
 # rows of N sites, far more than any run can hold.
 _MAX_GRID_TIMES = 1 << 20
-
-_SHELL_KINDS = ("fixed", "global_dynamic", "local_dynamic")
-_MICRO_SOURCES = ("exact", "mc")
 
 _FIGURE_SCALE = {
     "lattice.n_per_axis": "25",
@@ -215,13 +217,12 @@ class RunConfig:
         items: list[tuple[str, str]] = []
         if self.preset is not None:
             items.append(("preset", self.preset))
-        for key, (attr, _conv, fmt) in _SCHEMA.items():
-            if attr == "m_s":
-                items.append((key, repr(self.resolved_m_s)))
-            elif attr == "batch_len":
-                items.append((key, str(self.resolved_batch_len)))
-            else:
-                items.append((key, fmt(getattr(self, attr))))
+        resolved = replace(self, m_s=self.resolved_m_s, batch_len=self.resolved_batch_len)
+        for key, (attr, convert, _check) in _SCHEMA.items():
+            value = getattr(resolved, attr)
+            if convert is _parse_pairs:
+                value = ",".join(f"{p}:{q}" for p, q in value)
+            items.append((key, repr(value) if convert is float else str(value)))
         return items
 
 
@@ -231,47 +232,14 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
         where = f"line {lineno}: " if lineno is not None else ""
         raise ConfigError(f"{where}{key}: {message}")
 
-    for key, (attr, convert, _fmt) in _SCHEMA.items():
+    for key, (attr, convert, _check) in _SCHEMA.items():
         value = getattr(cfg, attr)
         if convert is float and value is not None and not math.isfinite(value):
             fail(key, f"must be finite, got {value!r}")
-    if cfg.n_per_axis < 1:
-        fail("lattice.n_per_axis", "must be a positive integer")
-    if not cfg.spacing > 0:
-        fail("lattice.spacing", "must be positive")
-    if not cfg.beta > 0:
-        fail("physics.beta", "must be positive")
-    if cfg.mass < 0:
-        fail("physics.mass", "must be nonnegative")
-    if cfg.m_s is not None and not cfg.m_s > 0:
-        fail("physics.m_s", "must be positive")
-    action_kinds = sorted(kind.value for kind in MatterActionKind)
-    if cfg.action_kind not in action_kinds:
-        fail("action.kind", f"must be one of {action_kinds}")
-    if cfg.shell_kind not in _SHELL_KINDS:
-        fail("shell.kind", f"must be one of {sorted(_SHELL_KINDS)}")
-    if not cfg.dlambda > 0:
-        fail("dynamics.dlambda", "dlambda must be positive")
-    if cfg.equilibration_steps < 0:
-        fail("dynamics.equilibration_steps", "must be nonnegative")
-    if cfg.sampling_steps < 0:
-        fail("dynamics.sampling_steps", "must be nonnegative")
-    if cfg.thin_stride < 1:
-        fail("dynamics.thin_stride", "must be at least 1")
-    if cfg.batch_len is not None and cfg.batch_len < 1:
-        fail("dynamics.batch_len", "must be at least 1")
-    if cfg.seed < 0 or cfg.seed >= 2**64:
-        fail("seed", "must fit in 64 unsigned bits")
-    if cfg.grid_t_extent < 0:
-        fail("grid.t_extent", "must be nonnegative")
-    if cfg.grid_x_extent < 0:
-        fail("grid.x_extent", "must be nonnegative")
-    if cfg.grid_t_points < 1:
-        fail("grid.t_points", "must be at least 1")
-    if cfg.grid_x_points < 1:
-        fail("grid.x_points", "must be at least 1")
-    if cfg.grid_axis not in (1, 2, 3):
-        fail("grid.axis", "must be 1, 2 or 3")
+    for key, (attr, _convert, check) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if check is not None and value is not None and not check[0](value):
+            fail(key, check[1])
     if cfg.grid_t_points > _MAX_GRID_TIMES:
         fail("grid.t_points", f"must be at most {_MAX_GRID_TIMES}")
     try:
@@ -280,40 +248,17 @@ def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
     except ValueError as err:
         t = cfg.grid_t_extent
         fail("grid.t_extent", f"{err}; got {cfg.grid_t_points} times over [-{t!r}, {t!r}]")
-    if cfg.covariance_n_sites < 1 or cfg.covariance_n_sites > MAX_COVARIANCE_SITES:
-        fail("covariance.n_sites", f"must be between 1 and {MAX_COVARIANCE_SITES}")
     n = cfg.site_count
     if cfg.covariance_n_sites > n:
         fail("covariance.n_sites", f"{cfg.covariance_n_sites} exceeds the lattice of {n} sites")
     for p, q in cfg.mgf_pairs:
         if not (0 <= p < n and 0 <= q < n):
             fail("mgf.pairs", f"site pair ({p},{q}) outside the lattice of {n} sites")
-    if not 0 < cfg.mgf_epsilon <= MAX_MGF_EPSILON:
-        fail("mgf.epsilon", f"must be in (0, {MAX_MGF_EPSILON}]")
-    if not cfg.micro_sigma_p > 0:
-        fail("micro.sigma_p", "must be positive")
-    if not cfg.micro_separation > 0:
-        fail("micro.separation", "must be positive")
-    if not cfg.micro_threshold > 0:
-        fail("micro.threshold", "must be positive")
-    if cfg.micro_source not in _MICRO_SOURCES:
-        fail("micro.source", f"must be one of {list(_MICRO_SOURCES)}")
-    if cfg.fock_n_observables < 1:
-        fail("fock.n_observables", "must be at least 1")
-    if cfg.fock_n_max < 1:
-        fail("fock.n_max", "must be at least 1")
-    if not cfg.fock_tol > 0:
-        fail("fock.tol", "must be positive")
-    if cfg.checkpoint_every < 1:
-        fail("output.checkpoint_every", "must be at least 1")
-    if cfg.log_every < 1:
-        fail("output.log_every", "must be at least 1")
 
 
 def parse_config(text: str) -> RunConfig:
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
-    preset: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
@@ -328,25 +273,25 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lineno}: preset: unknown preset {value!r}; "
                     f"choose from {sorted(PRESETS)}"
                 )
-            preset = value
-            continue
-        if key not in _SCHEMA:
+        elif key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
         lines[key] = lineno
 
+    preset = raw.pop("preset", None)
     merged: dict[str, str] = dict(PRESETS[preset]) if preset else {}
     merged.update(raw)
 
-    missing = [key for key in _REQUIRED_KEYS if key not in merged]
+    required = {field.name for field in fields(RunConfig) if field.default is MISSING}
+    missing = [key for key, (attr, *_) in _SCHEMA.items() if attr in required and key not in merged]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     kwargs: dict[str, Any] = {"preset": preset}
     for key, value in merged.items():
-        attr, convert, _fmt = _SCHEMA[key]
+        attr, convert, _check = _SCHEMA[key]
         try:
             kwargs[attr] = convert(value)
         except (TypeError, ValueError) as err:

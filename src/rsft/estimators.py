@@ -339,23 +339,6 @@ def _time_step(times: np.ndarray) -> float:
     return float(times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
 
 
-def _unit_phase(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """cos(angles) + i sin(angles), from real cos and sin, in out if given.
-
-    These give the bits of np.exp(1j * angles), which costs more and slows
-    about twentyfold after a complex matmul (OpenBLAS 0.3.31).  Still,
-    numpy runs float64 cos and sin on scalar libm: about 150 us each over
-    15 625 angles on a 2-vCPU Xeon VM, against about 40 us for its
-    vectorised tan.  So this form serves the group phases and an anchor
-    phase, and the step of `_phase_rows` takes one tangent per angle
-    instead (`_tangent_phase`).
-    """
-    phase = np.empty(angles.shape, dtype=complex) if out is None else out
-    np.cos(angles, out=phase.real)
-    np.sin(angles, out=phase.imag)
-    return phase
-
-
 def _tangent_phase(freqs, dt: float, out: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """exp(i dt freqs) in out, from t = tan(dt freqs / 2) in tangent:
     cos = 2 / (1 + t^2) - 1 and sin = 2 t / (1 + t^2).
@@ -363,7 +346,9 @@ def _tangent_phase(freqs, dt: float, out: np.ndarray, tangent: np.ndarray) -> np
     Each part lies within a few ulp of cos and sin, and is finite at every
     finite angle: at the float nearest an odd multiple of pi, t is large
     but finite (1.6e16 at pi), so cos is -1 and sin about 2 / t.  tan is
-    odd, so -dt gives the conjugate.
+    odd, so -dt gives the conjugate.  numpy runs float64 cos and sin on
+    scalar libm, about 150 us each over 15 625 angles on a 2-vCPU Xeon VM,
+    and its tan vectorised, about 40 us.
     """
     np.multiply(freqs, 0.5 * dt, out=tangent)
     np.tan(tangent, out=tangent)
@@ -393,19 +378,18 @@ def _phase_rows(anchor_time, dt, n_rows, freqs, weights, put, work) -> None:
     """put(j, row) for j = 0 .. n_rows - 1, where row is
     weights * exp(i (anchor_time + j dt) freqs).
 
-    A forward recurrence: row 0 is the weights, times the unit phase of
-    anchor_time freqs unless that time is 0, and each later row is the one
-    before it times exp(i dt freqs).  So the rows cost N tangents (and N cos
-    and sin off a zero anchor) however many there are, and the round-off
-    grows by a few ulp per row.  Each row is formed in the `_Workspace`
-    work, and put must not keep it.
+    A forward recurrence: row 0 is the weights, times exp(i anchor_time
+    freqs) unless that time is 0, and each later row is the one before it
+    times exp(i dt freqs).  Both phases come from tangents, so the rows cost
+    N tangents (2N off a zero anchor) however many there are, and the
+    round-off grows by a few ulp per row.  Each row is formed in the
+    `_Workspace` work, and put must not keep it.
     """
     row, step = work.row, work.step
     if anchor_time == 0.0:
         row[...] = weights
     else:
-        _unit_phase(np.multiply(freqs, anchor_time, out=work.tangent), out=row)
-        np.multiply(weights, row, out=row)
+        np.multiply(weights, _tangent_phase(freqs, anchor_time, row, work.tangent), out=row)
     _tangent_phase(freqs, dt, step, work.tangent)
     put(0, row)
     for j in range(1, n_rows):
@@ -494,7 +478,7 @@ class _GridPhases:
         key = key[self.order]
         self.starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         # (G, S) phases exp(-i p . x) of one site of each group
-        self._group_phase = _unit_phase(-(momenta[self.order][self.starts] @ grid.spatial.T))
+        self._group_phase = np.exp(-1j * (momenta[self.order][self.starts] @ grid.spatial.T))
         times, dt = grid.times, _time_step(grid.times)
         tol = TIME_RTOL * np.abs(times).max()
         a = int(np.argmin(np.abs(times)))
@@ -564,9 +548,6 @@ class CorrelatorAccumulator(_SampleStream):
         self.grid = grid
         self.shell = shell
         momenta = lattice.site_momenta()
-        # |p|^2 as `omega` sums it, so a dynamic shell's per-sample
-        # frequencies are omega's bits without re-summing the momenta
-        self._p_squared = np.sum(momenta * momenta, axis=-1)
         phases = self._phases = _GridPhases(grid, momenta, lattice.n_per_axis)
         if isinstance(shell, FixedShell):
             freqs = omega(momenta[phases.order], shell.mass)
@@ -574,6 +555,9 @@ class CorrelatorAccumulator(_SampleStream):
             project = partial(phases.sites_on_grid, freqs)
             self._sums = BatchMeans((lattice.site_count,), batch_len, project=project)
         else:
+            # |p|^2 as `omega` sums it, so a dynamic shell's per-sample
+            # frequencies are omega's bits without re-summing the momenta
+            self._p_squared = np.sum(momenta * momenta, axis=-1)
             shape = (phases.n_rows, phases.starts.size)
             self._sums = BatchMeans(shape, batch_len, complex, project=phases.on_grid)
         super().__init__(self._sums)
