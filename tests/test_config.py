@@ -315,7 +315,8 @@ class TestMutations:
             key = self.key_of(line)
             if key in seen:
                 return f"line {lineno}: duplicate key {key!r}"
-            seen.add(key or None)
+            if key:
+                seen.add(key)
         return None
 
     def rejected(self):
