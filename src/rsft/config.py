@@ -226,6 +226,11 @@ class RunConfig:
         return items
 
 
+# the keys of the RunConfig fields without a default, in schema order
+_NO_DEFAULT = {field.name for field in fields(RunConfig) if field.default is MISSING}
+_REQUIRED_KEYS = tuple(key for key, (attr, *_) in _SCHEMA.items() if attr in _NO_DEFAULT)
+
+
 def _validate(cfg: RunConfig, located: dict[str, int]) -> None:
     def fail(key: str, message: str):
         lineno = located.get(key)
@@ -284,8 +289,7 @@ def parse_config(text: str) -> RunConfig:
     merged: dict[str, str] = dict(PRESETS[preset]) if preset else {}
     merged.update(raw)
 
-    required = {field.name for field in fields(RunConfig) if field.default is MISSING}
-    missing = [key for key, (attr, *_) in _SCHEMA.items() if attr in required and key not in merged]
+    missing = [key for key in _REQUIRED_KEYS if key not in merged]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 

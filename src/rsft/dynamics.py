@@ -22,26 +22,27 @@ path: `run` does not call it, and the tests hold `run` to it.
 Both matter actions are phi^T M phi / 2 with M = I + c ones ones^T, so the
 force M phi stays in span{ones, phi}, and the flow never leaves the span of
 the uniform vector 1/sqrt(N) and the parts phi_perp, pi_perp of the starting
-field and momentum orthogonal to it.  `run` steps a trajectory in that
-subspace: with an orthonormal basis Q (N x k, k <= 3, first column
-1/sqrt(N)) it advances the coordinates x = Q^T phi and y = Q^T pi_phi, on
-which M = diag(1 + cN, 1, 1).  The step is the leapfrog of `_advance` in a
-few scalar operations for any N; it evaluates the matter action and its
-gradient once each, at its end, and they are the next step's start values.
-A state is held that way (`ExtendedState`): its basis Q^T and the
-coordinates x and y, with phi = Q x and pi_phi = Q y lifted only when read.
+field and momentum orthogonal to it.  A state (`ExtendedState`) is a point
+of that subspace: an orthonormal basis Q (N x k, k <= 3, first column
+1/sqrt(N)), held as Q^T, and the coordinates x = Q^T phi and y = Q^T pi_phi,
+on which M = diag(1 + cN, 1, 1), with s, pi_s, S_0 and the step count.
+That is all a state holds: phi = Q x and pi_phi = Q y are lifted anew on
+each read, and its extended and total actions are read on the coordinates
+(`_coordinate_action`), so no scalar of a state touches an (N,) array.
 `ExtendedState.from_arrays` derives the basis of given arrays once; a
 trajectory split into several runs, or resumed from a checkpoint, keeps its
 basis and coordinates and so steps bitwise as the unbroken one does.
 
-`run` is the one loop over that step.  The conservation log and periodic
+`run` steps the coordinates (`_reduced_steps`): the leapfrog of `_advance`
+in a few scalar operations for any N, which evaluates the matter action
+and its gradient once each, at its end, as the next step's start values.
+It is the one loop over that step.  The conservation log and periodic
 checkpoints are observers it calls after every `every`-th step; the steps
-in between run in one call of the step function.  Observers read phi and
-pi_phi, each lifted at most once per stretch, or the basis and the
-coordinates x directly.  The thinned snapshots that the estimators average
-are a `Sampling`: the step function records the coordinates x of each
-sampled step, and `run` hands them on as one block per stretch, so a
-trajectory average is a streaming accumulator fed blocks of coordinates.
+in between run in one call of the step function.  The thinned snapshots
+that the estimators average are a `Sampling`: the step function records
+the coordinates x of each sampled step, and `run` hands them on as one
+block per stretch, so a trajectory average is a streaming accumulator fed
+blocks of coordinates.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .action import BathParams, MatterActionKind, extended_action, matter_action, matter_grad
+from .action import BathParams, MatterActionKind, matter_action, matter_grad
 from .lattice import MomentumLattice
 
 INIT_MOMENTUM_HALF_WIDTH = 2.5
@@ -126,29 +127,17 @@ class ExtendedState:
     k zero.  s0 is the extended action recorded once at initialization;
     step_count times the step size gives the flow parameter lambda.
 
-    phi and pi_phi are read-only arrays.  Each is the array given to the
-    constructor, if any, until `forget` is called after a step; otherwise
-    it is Q x or Q y, lifted when first read and kept until `forget`.
+    phi and pi_phi are Q x and Q y, lifted on each read into a new
+    read-only array; the actions are read on the coordinates.
     """
 
     def __init__(
-        self,
-        basis: np.ndarray,
-        x,
-        y,
-        s: float,
-        pi_s: float,
-        s0: float,
-        step_count: int = 0,
-        phi: np.ndarray | None = None,
-        pi_phi: np.ndarray | None = None,
+        self, basis: np.ndarray, x, y, s: float, pi_s: float, s0: float, step_count: int = 0
     ):
         self.basis = _readonly(basis)
         self.x, self.y = _padded(x), _padded(y)
         self.s, self.pi_s, self.s0 = s, pi_s, s0
         self.step_count = step_count
-        self._phi = None if phi is None else _readonly(phi)
-        self._pi_phi = None if pi_phi is None else _readonly(pi_phi)
 
     @classmethod
     def from_arrays(
@@ -160,38 +149,30 @@ class ExtendedState:
         s0: float,
         step_count: int = 0,
     ) -> "ExtendedState":
-        """The state of the given arrays in the basis derived from them.
-        Until it is stepped it reads back the given arrays, which Q x and
-        Q y match only to round-off."""
+        """The state of the given arrays in the basis derived from them;
+        its phi and pi_phi match them to round-off."""
         basis = _derive_basis(phi, pi_phi)
-        return cls(basis, basis @ phi, basis @ pi_phi, s, pi_s, s0, step_count, phi, pi_phi)
+        return cls(basis, basis @ phi, basis @ pi_phi, s, pi_s, s0, step_count)
 
     @property
     def phi(self) -> np.ndarray:
-        if self._phi is None:
-            self._phi = _readonly(_lift(self.basis, self.x))
-        return self._phi
+        return _readonly(_lift(self.basis, self.x))
 
     @property
     def pi_phi(self) -> np.ndarray:
-        if self._pi_phi is None:
-            self._pi_phi = _readonly(_lift(self.basis, self.y))
-        return self._pi_phi
-
-    def forget(self) -> None:
-        """Drop the arrays of an earlier step."""
-        self._phi = self._pi_phi = None
+        return _readonly(_lift(self.basis, self.y))
 
     def lam(self, dlambda: float) -> float:
         return self.step_count * dlambda
 
     def copy(self) -> "ExtendedState":
-        """A state that steps apart from this one; every array is shared,
-        as none can be written."""
+        """A state that steps apart from this one; the basis is shared, as
+        it cannot be written."""
         return copy.copy(self)
 
     def extended_action(self, kind: MatterActionKind, bath: BathParams) -> float:
-        return extended_action(self.phi, self.pi_phi, self.s, self.pi_s, kind, bath)
+        collective = 1.0 + kind.coupling * self.basis.shape[1]
+        return _coordinate_action(self.x, self.y, self.s, self.pi_s, collective, bath)
 
     def total_action(self, kind: MatterActionKind, bath: BathParams) -> float:
         return self.s * (self.extended_action(kind, bath) - self.s0)
@@ -250,16 +231,16 @@ def init_state(
 
     phi starts at zero everywhere; pi_phi is uniform on [-2.5, 2.5] drawn in
     lexicographic site order, so the mean kinetic energy per site starts
-    near 25/24; s = 1 and pi_s = 0.  The extended action of this state is
-    stored as s0, making the total action exactly zero at lambda = 0.
+    near 25/24; s = 1 and pi_s = 0.  The extended action of this state, read
+    on its coordinates as every later one is, is stored as s0, making the
+    total action exactly zero at lambda = 0.
     """
     rng = make_rng(rng_seed)
     n = lattice.site_count
-    phi = np.zeros(n)
     pi_phi = rng.uniform(-INIT_MOMENTUM_HALF_WIDTH, INIT_MOMENTUM_HALF_WIDTH, n)
-    s, pi_s = 1.0, 0.0
-    s0 = extended_action(phi, pi_phi, s, pi_s, action_kind, bath)
-    return ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0), rng
+    state = ExtendedState.from_arrays(np.zeros(n), pi_phi, 1.0, 0.0, 0.0)
+    state.s0 = state.extended_action(action_kind, bath)
+    return state, rng
 
 
 def _advance(
@@ -334,12 +315,24 @@ def _advance(
 
 
 def flip_momenta(state: ExtendedState) -> ExtendedState:
-    """Negate both momenta; running forward from the flipped state retraces
-    the trajectory."""
+    """Negate both momenta, y and pi_s; running forward from the flipped
+    state retraces the trajectory."""
     return ExtendedState(
         state.basis, state.x, tuple(-v for v in state.y), state.s, -state.pi_s,
-        state.s0, state.step_count, state.phi, -state.pi_phi,
+        state.s0, state.step_count,
     )
+
+
+def _coordinate_action(x, y, s, pi_s, collective, bath) -> float:
+    """The extended action S_x of `action.extended_action` on subspace
+    coordinates, where M = diag(collective, 1, 1), in the expressions with
+    which `_reduced_steps` forms the S_x of a step's end."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    n_f_beta = bath.n_f / bath.beta
+    s_m = 0.5 * (collective * x0 * x0 + x1 * x1 + x2 * x2)
+    kinetic = (y0 * y0 + y1 * y1 + y2 * y2) / (s * s)
+    return 0.5 * kinetic + pi_s * pi_s / (2.0 * bath.m_s) + s_m + n_f_beta * math.log(s)
 
 
 def _reduced_steps(
@@ -467,7 +460,6 @@ def run(
         except StepFailureError as err:
             raise err.with_step_index(live.step_count + err.step_index) from None
         live.step_count += stretch
-        live.forget()
         if rows:
             sampling.take(CoordinateBlock(live.basis, rows))
         # a stretch cut short by a full buffer is not an observer call

@@ -11,12 +11,12 @@ standard error that is reported only once at least eight complete batches
 exist.  A projection holds only the arrays it reads, never its accumulator,
 so an accumulator is freed by reference counting alone.
 
-A snapshot is a field array or a trajectory state, and `run` hands the
-sampled states of a trajectory over as blocks of their coordinates.  A
-state is held in the basis Q of its trajectory's subspace (phi = Q x, at
-most three coordinates); its x is buffered, and a block of buffered
-samples is summed at once into the same site-form batch sums that fields
-feed (`_SampleStream`).  The variance, covariance, MGF and fixed-shell
+A snapshot is a field array, or a block of sampled coordinates: `run`
+hands the sampled states of a trajectory over as blocks of their
+coordinates x in the basis Q of the trajectory's subspace (phi = Q x, at
+most three coordinates).  The rows of a block are buffered, and a buffer
+is summed at once into the same site-form batch sums that fields feed
+(`_SampleStream`).  The variance, covariance, MGF and fixed-shell
 correlator accumulators sum a block on its coordinates and map the sum to
 sites through Q, so they never build a field; a dynamic-shell correlator
 lifts each row of a block to its field, in buffers the block shares.
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import COORDINATE_BUFFER_LEN, CoordinateBlock, ExtendedState, _lift
+from .dynamics import COORDINATE_BUFFER_LEN, CoordinateBlock, _lift
 from .lattice import MomentumLattice, MassShell, FixedShell, effective_masses, omega
 
 MIN_BATCHES = 8
@@ -133,9 +133,8 @@ class BatchMeans:
 
 
 class _SampleStream:
-    """The sample interface of the accumulators: `add` takes a field array,
-    a block of sampled coordinates (`CoordinateBlock`) or a state, which is
-    the block of its one row x.
+    """The sample interface of the accumulators: `add` takes a field array
+    or a block of sampled coordinates (`CoordinateBlock`).
 
     An array is a site sample, passed to `_add_site(phi)` as the (N,)
     field.  The rows of a block are appended to a buffer, and no field is
@@ -147,7 +146,7 @@ class _SampleStream:
     a block is cut at the same rows whatever blocks its rows came in, every
     batch holds site-form sums, and samples of both kinds mix in any order.
     The default `_add_block` lifts each row to its field, bitwise the phi of
-    a stepped state, and adds it as a site sample.
+    its state, and adds it as a site sample.
     """
 
     def __init__(self, batches: BatchMeans):
@@ -156,9 +155,7 @@ class _SampleStream:
         self._buffer: list[tuple[float, float, float]] = []
 
     def add(self, sample) -> None:
-        if isinstance(sample, ExtendedState):
-            sample = CoordinateBlock(sample.basis, (sample.x,))
-        elif not isinstance(sample, CoordinateBlock):
+        if not isinstance(sample, CoordinateBlock):
             self._sum_buffer()
             self._add_site(sample)
             return

@@ -111,8 +111,8 @@ def gram_exact(
 class GramAccumulator(_SampleStream):
     """Streaming Gram-matrix estimator over trajectory snapshots: batch means
     of the products conj(O_i[phi]) O_j[phi] of linear observables.  A
-    snapshot is a field array, a state or a block of sampled coordinates;
-    each coordinate row is lifted to its field."""
+    snapshot is a field array or a block of sampled coordinates; each
+    coordinate row is lifted to its field."""
 
     def __init__(self, observables: Sequence[LinearObservable], batch_len: int):
         if not observables:

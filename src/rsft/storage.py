@@ -13,16 +13,20 @@ payload holds
 - the basis the state is held in (see `dynamics`): its dimension k, then
   the k rows of the basis (N values each) and the k field and k momentum
   coordinates.
-Round trips are bit-exact, the basis and the coordinates included, so a
-resumed trajectory steps exactly as the unbroken one.  The writer records
-k >= 1; a file with k = 0, and versions 2 (header `RSFT-CKPT v2`, no basis)
-and 1 (header `RSFT-CKPT v1`, neither physics record nor basis), stay
-readable: the state read gets a basis derived from its arrays, and a
+A state is its basis and coordinates, and those are what a version 3 file
+is read back as: the stored field arrays are the state's lifts Q x and
+Q y, and the reader only checks that they are, so round trips are
+bit-exact and a resumed trajectory steps exactly as the unbroken one.  The
+writer records k >= 1; a file with k = 0, and versions 2 (header
+`RSFT-CKPT v2`, no basis) and 1 (header `RSFT-CKPT v1`, neither physics
+record nor basis), stay readable: the state read is that of the stored
+arrays in the basis derived from them (`ExtendedState.from_arrays`), and a
 version 1 file carries no physics to check.  A stored basis must be
 orthonormal with first row 1/sqrt(N), and the stored field and momentum
-must be its lifted coordinates; a file that is not is refused.  A checkpoint is written to a
-temporary file in the same directory and renamed onto its path, so a crash
-mid-write leaves the previous checkpoint intact.
+must be its lifted coordinates; a file that is not is refused.  A
+checkpoint is written to a temporary file in the same directory and
+renamed onto its path, so a crash mid-write leaves the previous checkpoint
+intact.
 
 Every CSV starts with `# key = value` comment lines carrying the fully
 resolved configuration and seed; floating-point values use 17 significant
@@ -186,6 +190,8 @@ def read_checkpoint(
             part = "physics record"
             (physics_len,) = reader.unpack("<I")
             physics = json.loads(reader.take(physics_len).decode())
+            if not isinstance(physics, dict):
+                raise CheckpointError("checkpoint physics record is not a JSON object")
         if magic == CHECKPOINT_MAGIC:
             part = "basis"
             (k,) = reader.unpack("<I")
@@ -223,7 +229,7 @@ def read_checkpoint(
         state = ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0, step_count)
     else:
         _check_basis(basis, (("phi", phi, x), ("pi_phi", pi_phi, y)))
-        state = ExtendedState(basis, x, y, s, pi_s, s0, step_count, phi, pi_phi)
+        state = ExtendedState(basis, x, y, s, pi_s, s0, step_count)
     return state, np.random.Generator(bit_generator)
 
 

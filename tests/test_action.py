@@ -112,8 +112,10 @@ class TestTotalAction:
         bath = BathParams(1.0, float(n), n)
         rng = np.random.default_rng(3)
         phi, pi = rng.normal(size=n), rng.normal(size=n)
-        s0 = extended_action(phi, pi, 1.0, 0.0, COLLECTIVE, bath)
-        assert ExtendedState.from_arrays(phi, pi, 1.0, 0.0, s0).total_action(COLLECTIVE, bath) == 0.0
+        state = ExtendedState.from_arrays(phi, pi, 1.0, 0.0, 0.0)
+        state.s0 = state.extended_action(COLLECTIVE, bath)
+        assert state.total_action(COLLECTIVE, bath) == 0.0
+        assert state.s0 == pytest.approx(extended_action(phi, pi, 1.0, 0.0, COLLECTIVE, bath))
 
     def test_scales_with_s(self):
         n = 4

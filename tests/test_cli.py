@@ -402,6 +402,16 @@ class TestMgfCheck:
         assert len(rows) == 4
         assert all(row.endswith(",True") for row in rows)
 
+    def test_too_few_batches_says_so(self, tmp_path, capsys):
+        # 100 sampling steps at stride 10: ten samples, no closed batch of 100
+        text = BASE.replace("dynamics.sampling_steps = 8000", "dynamics.sampling_steps = 100")
+        cfg = write_config(tmp_path, text + f"output.dir = {tmp_path}/out\n")
+        assert main(["mgf-check", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            "mgf-check: too few batches for error bars; stderr unavailable"
+        )
+
 
 class TestFockCheck:
     def test_default_run_is_green(self, tmp_path, capsys):

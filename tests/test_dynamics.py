@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rsft import dynamics
 from rsft.action import BathParams, MatterActionKind, extended_action
 from rsft.dynamics import (
     COORDINATE_BUFFER_LEN,
@@ -84,7 +85,11 @@ class TestInitState:
         reference = np.random.Generator(np.random.PCG64(123)).uniform(
             -2.5, 2.5, lattice.site_count
         )
-        np.testing.assert_array_equal(state.pi_phi, reference)
+        # the state is the drawn arrays' basis and coordinates, bit for bit
+        drawn = ExtendedState.from_arrays(np.zeros(lattice.site_count), reference, 1.0, 0.0, 0.0)
+        np.testing.assert_array_equal(state.basis, drawn.basis)
+        assert (state.x, state.y) == (drawn.x, drawn.y)
+        assert state.s0 == drawn.extended_action(FREE, bath)
 
     def test_equal_seeds_bitwise_identical(self):
         _, _, _, state_a, _ = default_setup(seed=9)
@@ -331,12 +336,49 @@ class TestSubspacePath:
             for name in ("phi", "pi_phi"):
                 np.testing.assert_array_equal(getattr(back, name), getattr(original, name))
 
-    def test_observers_share_one_rebuild_per_step(self):
+    def test_observers_of_a_step_read_the_same_lift(self):
         _, _, params, state, _ = default_setup(n_per_axis=3)
         seen = []
         run(state, params, 3, [lambda live: seen.append(live.phi)] * 2)
-        assert seen[0] is seen[1] and seen[2] is seen[3]
-        assert seen[1] is not seen[2]
+        # each read is a new lift of the step's coordinates
+        assert seen[0] is not seen[1]
+        np.testing.assert_array_equal(seen[0], seen[1])
+        np.testing.assert_array_equal(seen[2], seen[3])
+        assert not np.array_equal(seen[1], seen[2])
+
+
+class TestCoordinateAction:
+    """A state's actions are read on its coordinates, where M = diag(1 + cN,
+    1, 1); the array forms of `rsft.action` are their reference."""
+
+    @pytest.mark.parametrize("n_per_axis", [9, 25])
+    @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
+    def test_matches_the_array_form(self, kind, n_per_axis):
+        _, bath, params, state, rng = default_setup(n_per_axis=n_per_axis, kind=kind)
+        # a field with a collective part: all three coordinates count
+        phi = rng.normal(size=state.phi.shape) + 0.3
+        start = ExtendedState.from_arrays(phi, state.pi_phi, 1.0, 0.2, 0.0)
+        start.s0 = start.extended_action(kind, bath)
+        assert start.total_action(kind, bath) == 0.0
+        for now in (start, run(start, params, 500)):
+            reference = extended_action(now.phi, now.pi_phi, now.s, now.pi_s, kind, bath)
+            assert now.extended_action(kind, bath) == pytest.approx(reference, rel=1e-13, abs=0)
+            total = now.s * (reference - now.s0)
+            assert abs(now.total_action(kind, bath) - total) <= 1e-13 * now.s * abs(reference)
+
+    def test_scalars_and_a_logged_run_lift_no_array(self, monkeypatch):
+        def no_lift(*args, **kwargs):
+            raise AssertionError("a site array was lifted")
+
+        monkeypatch.setattr(dynamics, "_lift", no_lift)
+        lattice = MomentumLattice(9, 0.1)
+        bath = BathParams(1.0, float(lattice.site_count), lattice.site_count)
+        params = IntegratorParams(0.01, bath, COLLECTIVE)
+        state, _ = init_state(lattice, bath, COLLECTIVE, 1)
+        assert state.total_action(COLLECTIVE, bath) == 0.0
+        logged = []
+        run(state, params, 200, [lambda live: logged.append(live.total_action(COLLECTIVE, bath))])
+        assert len(logged) == 200 and 0.0 < max(map(abs, logged)) < 0.1
 
 
 class TestCadence:

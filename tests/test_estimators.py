@@ -839,16 +839,21 @@ def assert_paths_agree(coordinate, site, rtol=1e-10):
             assert np.abs(np.asarray(value) - target).max() <= rtol * scale
 
 
+def one_row(state):
+    """The state's coordinates x as a block of one sampled row."""
+    return CoordinateBlock(state.basis, (state.x,))
+
+
 def sampler(coordinate, site, stride=10, field_every=0):
     """Observer feeding, at every stride-th step, the field to `site` and
-    the live state to `coordinate`, or instead its field at every
-    field_every-th sample when field_every is set."""
+    the live state's coordinates to `coordinate`, or instead its field at
+    every field_every-th sample when field_every is set."""
 
     def observe(live):
         if live.step_count % stride == 0:
             as_field = field_every and (live.step_count // stride) % field_every == 0
             for acc in coordinate:
-                acc.add(live.phi if as_field else live)
+                acc.add(live.phi if as_field else one_row(live))
             for acc in site:
                 acc.add(live.phi)
 
@@ -856,8 +861,9 @@ def sampler(coordinate, site, stride=10, field_every=0):
 
 
 class TestCoordinatePath:
-    """Fed states, the variance, covariance, MGF and fixed-shell correlator
-    accumulators work on subspace coordinates; fed fields, on sites."""
+    """Fed the coordinates of states, the variance, covariance, MGF and
+    fixed-shell correlator accumulators work on them; fed fields, on
+    sites."""
 
     @pytest.mark.parametrize("n_per_axis", [9, 25])
     @pytest.mark.parametrize("kind", [FREE, COLLECTIVE])
@@ -938,7 +944,7 @@ class TestCoordinatePath:
         for _ in range(30):
             state = run(state, params, 10)
             for mine, reference in zip(coordinate, site):
-                mine.add(state)
+                mine.add(one_row(state))
                 reference.add(state.phi)
         assert all(acc._basis is not None for acc in coordinate)
         assert_paths_agree(coordinate, site)
@@ -957,7 +963,7 @@ class TestCoordinatePath:
         for _ in range(30):
             state = run(state, params, 10)
             for acc in accs:
-                acc.add(state)
+                acc.add(one_row(state))
         for acc in accs:
             reported(acc)
         assert lifts == []
@@ -968,7 +974,7 @@ class TestCoordinatePath:
         x = np.array([1e6])
         state = ExtendedState(basis, x, np.zeros(1), 1.0, 0.0, 0.0)
         acc = MgfAccumulator(0, 1, 0.1, batch_len=10)
-        acc.add(state)
+        acc.add(one_row(state))
         with pytest.raises(EstimatorError, match="eps"):
             acc.result()
 
@@ -1002,7 +1008,7 @@ def every_output(acc):
 
 class TestBlockPath:
     """Blocks of sampled coordinates, as `run` hands them over, give the
-    bits of the same samples fed one state at a time."""
+    bits of the same samples fed one state's row at a time."""
 
     @pytest.mark.parametrize("every", [1000, 10**6], ids=["blocks_of_100", "blocks_of_256"])
     @pytest.mark.parametrize("batch_len", [7, 1000])
@@ -1019,7 +1025,7 @@ class TestBlockPath:
         def observe(live):
             if (live.step_count - state.step_count) % 10 == 0:
                 for acc in by_state:
-                    acc.add(live)
+                    acc.add(one_row(live))
 
         def take(block):
             for acc in by_block:
@@ -1053,7 +1059,7 @@ class TestReferenceCycles:
         gc.disable()
         try:
             for _ in range(3):
-                acc.add(state)
+                acc.add(one_row(state))
                 acc.add(state.phi)
             every_output(acc)
             freed = weakref.ref(acc)

@@ -8,7 +8,7 @@ import pytest
 
 from rsft.action import MatterActionKind
 from rsft import operator_algebra
-from rsft.dynamics import run
+from rsft.dynamics import CoordinateBlock, run
 from rsft.lattice import MomentumLattice
 from rsft.operator_algebra import (
     ALGEBRA_TOL,
@@ -132,7 +132,7 @@ class TestGram:
         from_fields = GramAccumulator(obs, batch_len=4)
 
         def observe(live):
-            from_states.add(live)
+            from_states.add(CoordinateBlock(live.basis, (live.x,)))
             from_fields.add(live.phi)
 
         run(state, params, 50, [observe])

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rsft.action import BathParams, MatterActionKind
-from rsft.dynamics import ExtendedState, IntegratorParams, init_state, run
+from rsft.action import BathParams, MatterActionKind, extended_action
+from rsft.dynamics import ExtendedState, IntegratorParams, _advance, init_state, make_rng, run
 from rsft.estimators import CorrelatorGrid
 from rsft.lattice import MomentumLattice
 from rsft.storage import (
@@ -24,12 +24,13 @@ from tests.test_dynamics import reference_run
 
 COLLECTIVE = MatterActionKind.FREE_COLLECTIVE
 PHYSICS = {"action.kind": "free_collective", "dynamics.dlambda": 0.01}
-# Written by the version 1 and version 2 writers from `setup_run()` advanced
-# 137 steps by the full-array leapfrog, which `reference_run` repeats.
+# Written by the version 1 and version 2 writers from the arrays that
+# `setup_run()` draws, advanced 137 steps by the full-array leapfrog, which
+# `stored_run` repeats.
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.ckpt"
 CHECKPOINT_V2 = Path(__file__).parent / "data" / "checkpoint_v2.ckpt"
 # Written by the version 3 writer from `setup_run()` advanced 137 steps by
-# `run`.
+# `run`, with the S_0 of `stored_run`.
 CHECKPOINT_V3 = Path(__file__).parent / "data" / "checkpoint_v3.ckpt"
 
 
@@ -39,6 +40,20 @@ def setup_run(n_per_axis=3, seed=5):
     params = IntegratorParams(0.01, bath, COLLECTIVE)
     state, rng = init_state(lattice, bath, COLLECTIVE, seed)
     return params, state, rng
+
+
+def stored_run(n_steps, seed=5):
+    """(phi, pi_phi, s, pi_s, s0) of the run the stored files were written
+    from: the arrays `setup_run()` draws, S_0 their extended action by
+    `action.extended_action`, advanced n_steps by the full-array leapfrog."""
+    params, _, _ = setup_run(seed=seed)
+    n = params.bath.n_f
+    phi, pi_phi = np.zeros(n), make_rng(seed).uniform(-2.5, 2.5, n)
+    s, pi_s = 1.0, 0.0
+    s0 = extended_action(phi, pi_phi, s, pi_s, COLLECTIVE, params.bath)
+    for _ in range(n_steps):
+        s, pi_s = _advance(phi, pi_phi, s, pi_s, s0, params.dlambda, COLLECTIVE, params.bath)
+    return phi, pi_phi, s, pi_s, s0
 
 
 def write_checkpoint_joined(path, state, rng, physics):
@@ -69,15 +84,12 @@ def write_checkpoint_joined(path, state, rng, physics):
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_streamed_file_is_the_joined_payload(self, tmp_path, k):
         rng = np.random.default_rng(40 + k)
         n = 27
         basis = np.linalg.qr(rng.normal(size=(n, 3)))[0].T[:k]
-        phi, pi_phi = rng.normal(size=(2, n))
-        state = ExtendedState(
-            basis, rng.normal(size=k), rng.normal(size=k), 1.25, -0.5, 3.0, 137, phi, pi_phi
-        )
+        state = ExtendedState(basis, rng.normal(size=k), rng.normal(size=k), 1.25, -0.5, 3.0, 137)
         write_checkpoint(tmp_path / "streamed.ckpt", state, rng, PHYSICS)
         write_checkpoint_joined(tmp_path / "joined.ckpt", state, rng, PHYSICS)
         streamed = (tmp_path / "streamed.ckpt").read_bytes()
@@ -171,13 +183,15 @@ class TestCheckpoint:
             read_checkpoint(path, expect=PHYSICS)
 
     def test_version_1_file_stays_readable(self):
-        params, state, rng = setup_run()
-        state = reference_run(params, state, 137)
+        params, _, rng = setup_run()
+        phi, pi_phi, s, pi_s, s0 = stored_run(137)
+        state = ExtendedState.from_arrays(phi, pi_phi, s, pi_s, s0, 137)
         assert CHECKPOINT_V1.read_bytes().startswith(b"RSFT-CKPT v1\n")
         # a version 1 file records no physics, so there is nothing to refuse
         loaded, loaded_rng = read_checkpoint(CHECKPOINT_V1, expect=PHYSICS)
-        np.testing.assert_array_equal(loaded.phi, state.phi)
-        np.testing.assert_array_equal(loaded.pi_phi, state.pi_phi)
+        # the state of the stored arrays: their basis and coordinates
+        np.testing.assert_array_equal(loaded.basis, state.basis)
+        assert (loaded.x, loaded.y) == (state.x, state.y)
         assert (loaded.s, loaded.pi_s, loaded.s0) == (state.s, state.pi_s, state.s0)
         assert loaded.step_count == 137
         assert loaded_rng.bit_generator.state == rng.bit_generator.state
@@ -207,14 +221,14 @@ class TestCheckpoint:
             read_checkpoint(path, PHYSICS)
 
     def test_version_2_file_still_resumes(self):
-        params, state, rng = setup_run()
+        params, _, rng = setup_run()
         assert CHECKPOINT_V2.read_bytes().startswith(b"RSFT-CKPT v2\n")
         loaded, loaded_rng = read_checkpoint(CHECKPOINT_V2, expect=PHYSICS)
         with pytest.raises(CheckpointError, match="dynamics.dlambda"):
             read_checkpoint(CHECKPOINT_V2, expect={**PHYSICS, "dynamics.dlambda": 0.02})
-        reference = reference_run(params, state, 137)
-        np.testing.assert_array_equal(loaded.phi, reference.phi)
-        np.testing.assert_array_equal(loaded.pi_phi, reference.pi_phi)
+        reference = ExtendedState.from_arrays(*stored_run(137), 137)
+        np.testing.assert_array_equal(loaded.basis, reference.basis)
+        assert (loaded.x, loaded.y, loaded.s0) == (reference.x, reference.y, reference.s0)
         assert (loaded.s, loaded.pi_s, loaded.step_count) == (reference.s, reference.pi_s, 137)
         assert loaded.basis.shape == (2, 27)
         assert loaded_rng.bit_generator.state == rng.bit_generator.state
@@ -235,9 +249,11 @@ class TestCheckpoint:
 
     def test_version_3_file_resumes_as_the_unbroken_run(self):
         params, state, rng = setup_run()
+        *_, s0 = stored_run(0)
+        state = ExtendedState(state.basis, state.x, state.y, state.s, state.pi_s, s0)
         whole = run(state, params, 400)
         loaded, loaded_rng = read_checkpoint(CHECKPOINT_V3, expect=PHYSICS)
-        assert loaded.step_count == 137
+        assert loaded.step_count == 137 and loaded.s0 == s0
         assert loaded_rng.bit_generator.state == rng.bit_generator.state
         rest = run(loaded, params, 263)
         for name in ("basis", "phi", "pi_phi"):
