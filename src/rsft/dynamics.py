@@ -134,6 +134,8 @@ class ExtendedState:
     def __init__(
         self, basis: np.ndarray, x, y, s: float, pi_s: float, s0: float, step_count: int = 0
     ):
+        if np.ndim(basis) != 2 or not 1 <= len(basis) <= 3:
+            raise ValueError(f"a state's basis needs 1 to 3 rows, not shape {np.shape(basis)}")
         self.basis = _readonly(basis)
         self.x, self.y = _padded(x), _padded(y)
         self.s, self.pi_s, self.s0 = s, pi_s, s0

@@ -19,7 +19,10 @@ Identities that truncation breaks are asserted on the interior subspace
 (total occupation at most n_max - 1), where its artifacts vanish
 identically; their products are applied to the interior columns alone.
 Commutators are applied to runs of identity columns and their maxima
-combined, so no check holds more than the O(d * dim) ladders themselves.
+combined.  A ladder applied to all columns, or to a dense vector, reads its
+tables a few rows at a time and stores only the entries it keeps, and the
+hermiticity check pairs those entries with their transposes in one sort, so
+no check holds more than the O(d * dim) ladders themselves.
 """
 
 from __future__ import annotations
@@ -41,16 +44,19 @@ COORD_RESIDUAL_RTOL = 1e-8
 FOCK_DIMENSION_LIMIT = 20_000
 # The identity checks apply two ladder combinations to columns of the
 # identity, up to about d^2 * dim candidate entries in all.  They are formed
-# in runs of columns (PRODUCT_BLOCK_ENTRIES below), so the products bound
-# the time, not the memory: at the limit, d = 117, n_max = 2 (d^2 dim =
-# 9.6e7) took 0.6 s, and the largest n_max = 3 space, d = 47 (dim 19 600,
-# 4.3e7), 1.1 s.  The memory follows the O(d * dim) index maps and the
-# one-ladder checks: peak RSS of `fock-check` measured 48 MB at d = 60,
-# n_max = 2, 81 MB at d = 100, 105 MB at d = 117 and 119 MB at d = 47,
-# n_max = 3.
+# in runs of columns (PRODUCT_BLOCK_ENTRIES below), and a single ladder
+# applied to all columns stores only the entries it keeps, so the products
+# bound the time, not the memory: at the limit, d = 117, n_max = 2 (d^2 dim =
+# 9.6e7) took 0.5 s, and the largest n_max = 3 space, d = 47 (dim 19 600,
+# 4.3e7), 0.8 s.  The memory follows the O(d * dim) index maps and
+# amplitudes and the kept entries of one ladder on all columns: peak RSS of
+# `fock-check` measured 45 MB at d = 60, n_max = 2, 63 MB at d = 100, 76 MB
+# at d = 117 and 87 MB at d = 47, n_max = 3, of which importing the CLI
+# takes about 36 MB.
 FOCK_PRODUCT_LIMIT = 100_000_000
 # Candidate entries that the four ladder applications of one run of
-# identity columns may form in a commutator check.
+# identity columns may form in a commutator check, and that one slice of a
+# ladder application may form when dim is smaller.
 PRODUCT_BLOCK_ENTRIES = 1 << 14
 
 
@@ -210,16 +216,19 @@ class HilbertContext:
         return coords
 
 
-def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of each of `rows` among the rows of `table`.  Rows compare as
-    uint16 byte strings (occupations stay below the dimension limit), so no
-    integer key overflows at large d."""
-    keys, wanted = (
-        np.ascontiguousarray(a, np.uint16).view(np.dtype((np.void, 2 * a.shape[1])))[:, 0]
-        for a in (table, rows)
-    )
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Rows as uint16 byte strings (occupations stay below the dimension
+    limit), so no integer key overflows at large d."""
+    rows = np.ascontiguousarray(rows, np.uint16)
+    return rows.view(np.dtype((np.void, 2 * rows.shape[1])))[:, 0]
+
+
+def _row_lookup(table: np.ndarray):
+    """A function giving the index of each of its rows among the rows of
+    `table`, whose keys are sorted once, here."""
+    keys = _row_keys(table)
     order = np.argsort(keys)
-    return order[np.searchsorted(keys[order], wanted)]
+    return lambda rows: order.take(np.searchsorted(keys, _row_keys(rows), sorter=order))
 
 
 @dataclass(frozen=True)
@@ -268,15 +277,26 @@ class FockRep:
         occupations = np.zeros((dim, d), dtype=int)
         rows = np.repeat(np.arange(dim), [len(modes) for modes in multisets])
         np.add.at(occupations, (rows, np.fromiter(chain.from_iterable(multisets), int)), 1)
-        below = math.comb(d + n_max - 1, d)  # the states below total n_max come first
-        up = np.tile(occupations[:below].astype(np.uint16), (d, 1))
-        up[np.arange(d * below), np.repeat(np.arange(d), below)] += 1
+        del multisets, rows
+        # Every state below total n_max comes first and has a raised state
+        # in every mode; each mode's raising map and its inverse are filled in
+        # place from one sort of the occupation rows.
+        below = math.comb(d + n_max - 1, d)
+        index_of = _row_lookup(occupations)
+        raised = occupations[:below].astype(np.uint16)
+        source = np.arange(below)
         maps = np.full((2, d, dim), -1)
-        maps[0, :, :below] = _row_index(occupations, up).reshape(d, below)
-        mode, source = np.nonzero(maps[0] >= 0)
-        maps[1, mode, maps[0, mode, source]] = source
-        counts = np.ascontiguousarray(occupations.T)
-        return cls(d, n_max, occupations, maps, np.sqrt(np.stack((counts + 1.0, counts))))
+        for mode in range(d):
+            raised[:, mode] += 1
+            maps[0, mode, :below] = index_of(raised)
+            raised[:, mode] -= 1
+            maps[1, mode].put(maps[0, mode, :below], source)
+        amplitudes = np.empty((2, d, dim))
+        amplitudes[0] = occupations.T
+        amplitudes[0] += 1.0
+        amplitudes[1] = occupations.T
+        np.sqrt(amplitudes, out=amplitudes)
+        return cls(d, n_max, occupations, maps, amplitudes)
 
     @property
     def dim(self) -> int:
@@ -338,9 +358,6 @@ class SparseOperand:
     def __sub__(self, other: "SparseOperand") -> "SparseOperand":
         return SparseOperand.concatenate((self, -other))
 
-    def adjoint(self) -> "SparseOperand":
-        return SparseOperand(self.cols, self.rows, self.values.conj())
-
     def to_vector(self, dim: int) -> np.ndarray:
         """The dense vector of a single-column operand."""
         return np.bincount(self.rows, self.values.real, dim) + 1j * np.bincount(
@@ -349,7 +366,12 @@ class SparseOperand:
 
     def max_abs(self, within: np.ndarray | None = None) -> float:
         """Largest |matrix element| once repeated entries are summed,
-        over the (within, within) block when basis indices are given."""
+        over the (within, within) block when basis indices are given.
+
+        One sort of (row, col) key and original entry position packed in an
+        int64 (keys < dim^2 < 2^29, positions < 2^31 under the Fock limits):
+        a key's entries keep their order, so each sum adds as unsorted, bit
+        for bit."""
         rows, cols = self.rows, self.cols
         position = np.arange(rows.size)
         if within is not None and rows.size:
@@ -359,29 +381,78 @@ class SparseOperand:
             rows, cols = rows.take(position), cols.take(position)
         if position.size == 0:
             return 0.0
-        # One sort of (row, col) key and original entry position packed in an
-        # int64 (keys < dim^2 < 2^29, positions < 2^31 under the Fock limits):
-        # a key's entries keep their order, so each sum adds as unsorted, bit
-        # for bit, and the values are gathered once, in sorted order.
         packed = rows * (int(cols.max()) + 1)
         packed += cols
         del rows, cols
         packed <<= 31
         packed |= position
-        packed.sort()
-        np.bitwise_and(packed, 2**31 - 1, out=position)
-        packed >>= 31
-        entry = np.concatenate(([0], np.cumsum(packed[1:] != packed[:-1])))
-        values = self.values.take(position)
-        summed = np.bincount(entry, values.real) + 1j * np.bincount(entry, values.imag)
-        return float(np.abs(summed).max())
+        del position
+        return _largest_sum(packed, self.values)
+
+    def hermitian_deviation(self) -> float:
+        """Largest |matrix element| of the operand minus its adjoint, the
+        sum of its entries and of their transposes conjugated and negated.
+        The transposed entries take positions n .. 2n - 1 after the n
+        entries, as in the difference's list of entries, but that list is
+        never formed: one sort of the 2n packed keys pairs them (2n < 2^31
+        under the Fock limits, since n <= 2 d dim)."""
+        n = self.rows.size
+        if n == 0:
+            return 0.0
+        width = int(max(self.rows.max(), self.cols.max())) + 1
+        packed = np.empty(2 * n, dtype=np.int64)
+        np.multiply(self.rows, width, out=packed[:n])
+        packed[:n] += self.cols
+        np.multiply(self.cols, width, out=packed[n:])
+        packed[n:] += self.rows
+        packed <<= 31
+        packed |= np.arange(2 * n)
+        return _largest_sum(packed, self.values, adjoint_from=n)
+
+
+def _largest_sum(packed: np.ndarray, values: np.ndarray, adjoint_from: int | None = None) -> float:
+    """Largest |sum| over the entries of each key.  `packed` holds each
+    entry's key (< 2^32) shifted left by 31 bits over its position
+    (< 2^31), and is overwritten.  The entry at a position has the value
+    `values[position]` or, from position `adjoint_from` on, that of the
+    entry adjoint_from places before it conjugated and negated."""
+    packed.sort()
+    position = packed & (2**31 - 1)
+    packed >>= 31
+    # each sorted entry's key number, written over its key
+    starts = packed[1:] != packed[:-1]
+    packed[0] = 0
+    np.cumsum(starts, out=packed[1:])
+    del starts
+    # the parts gathered in sorted order and summed one at a time
+    real = values.real.take(position, mode="wrap")
+    if adjoint_from is not None:
+        np.negative(real, out=real, where=position >= adjoint_from)
+    real_sum = np.bincount(packed, real)
+    del real
+    imag = values.imag.take(position, mode="wrap")
+    del position
+    summed = 1j * np.bincount(packed, imag)
+    del imag
+    summed += real_sum
+    return float(np.abs(summed).max())
 
 
 @dataclass(frozen=True)
 class LadderOperator:
     """sum_m raising[m] a*_m + lowering[m] a_m on a truncated Fock space,
     applied to a sparse operand from the left in O(d * nnz); raising out of
-    the truncated space maps to zero."""
+    the truncated space maps to zero.
+
+    A call forms one candidate entry per nonzero coefficient and operand
+    entry and stores only those whose step stays in the truncation.  The
+    candidates are formed in slices of whole coefficient rows, each of at
+    most PRODUCT_BLOCK_ENTRIES or dim candidates, or a single row: a
+    commutator run takes one pass, while the identity on all columns, or a
+    dense vector, is read a row or a few at a time, so no call holds more
+    than its kept entries and O(dim) candidates.  The kept entries come out
+    coefficient by coefficient, raising first, each in operand order, and
+    each is the same product whatever the slices."""
 
     rep: FockRep
     raising: np.ndarray
@@ -390,17 +461,26 @@ class LadderOperator:
     def __call__(self, operand: SparseOperand) -> SparseOperand:
         rep = self.rep
         coeffs = np.concatenate((self.raising, self.lowering))
-        # Flat (step, mode, source) positions in the (2, d, dim) tables of the
-        # nonzero coefficients, raising first; values only for kept entries.
-        at = (np.flatnonzero(coeffs)[:, None] * rep.dim + operand.rows).ravel()
-        target = rep._maps.take(at)
-        kept = np.flatnonzero(target >= 0)
-        entry = kept % operand.rows.size
-        at = at.take(kept)
-        # coefficient times amplitude for the kept entries alone, so a call
-        # costs O(entries) and not O(d * dim)
-        values = coeffs.take(at // rep.dim) * rep._amplitudes.take(at) * operand.values.take(entry)
-        return SparseOperand(target.take(kept), operand.cols.take(entry), values)
+        # (step, mode) rows of the (2, d, dim) tables of the nonzero
+        # coefficients, raising first
+        nonzero = np.flatnonzero(coeffs)
+        size = operand.rows.size
+        span = max(1, max(PRODUCT_BLOCK_ENTRIES, rep.dim) // max(size, 1))
+        parts = []
+        for start in range(0, nonzero.size or 1, span):  # one empty slice if all are zero
+            at = (nonzero[start : start + span, None] * rep.dim + operand.rows).ravel()
+            target = rep._maps.take(at)
+            kept = np.flatnonzero(target >= 0)
+            entry = kept % size
+            at = at.take(kept)
+            # coefficient times amplitude for the kept entries alone
+            values = (
+                coeffs.take(at // rep.dim) * rep._amplitudes.take(at) * operand.values.take(entry)
+            )
+            parts.append(SparseOperand(target.take(kept), operand.cols.take(entry), values))
+        if len(parts) == 1:
+            return parts[0]
+        return SparseOperand.concatenate(parts)
 
     @property
     def width(self) -> int:
@@ -609,6 +689,42 @@ def microcausality_ratio(gram: GramMatrix) -> MicrocausalityResult:
     return MicrocausalityResult(k_s, k_t, ratio, se_ratio)
 
 
+def _adjointness_deviation(
+    rep: FockRep,
+    creation: LadderOperator,
+    annihilation: LadderOperator,
+    vec_f: np.ndarray,
+    vec_g: np.ndarray,
+) -> float:
+    """The larger of two deviations: <creation f, g> from <f, annihilation
+    g>, and each mode's annihilation ladder from its lowering ladder rebuilt
+    from first principles, looked up in the occupations rather than the
+    index maps (sqrt(n_m) from n to n - e_m).  No two modes lower a state
+    to the same one, so the largest over the modes, taken one at a time, is
+    that of one sum over all of them."""
+    raised_f = creation(SparseOperand.vector(vec_f)).to_vector(rep.dim)
+    lowered_g = annihilation(SparseOperand.vector(vec_g)).to_vector(rep.dim)
+    pairing = abs(np.vdot(raised_f, vec_g) - np.vdot(vec_f, lowered_g))
+    del raised_f, lowered_g
+    identity = SparseOperand.diagonal(np.ones(rep.dim))
+    index_of = _row_lookup(rep.occupations)
+    lowering = []
+    for mode, unit in enumerate(np.eye(rep.d)):
+        source = np.flatnonzero(rep.occupations[:, mode])
+        lowered = rep.occupations[source].astype(np.uint16)
+        lowered[:, mode] -= 1
+        amplitude = np.sqrt(rep.occupations[source, mode]).astype(complex)
+        direct = SparseOperand(index_of(lowered), source, amplitude)
+        lowering.append((annihilation_operator(unit, rep)(identity) - direct).max_abs())
+    return max(float(np.max(lowering)), float(pairing))
+
+
+def _number_deviation(rep: FockRep) -> float:
+    """Largest |matrix element| of the number operator minus the total
+    occupations on the diagonal."""
+    return (number_operator(rep) - SparseOperand.diagonal(rep.total_occupations())).max_abs()
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -640,7 +756,6 @@ def algebra_report(
         CheckResult("gram_hermitian", hermitian_dev, ALGEBRA_TOL),
         CheckResult("gram_positive", max(0.0, -float(eigvals[0])), psd_tol),
     ]
-    identity = SparseOperand.diagonal(np.ones(rep.dim))
     u = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
     w = rng.normal(size=rep.d) + 1j * rng.normal(size=rep.d)
     a_u, a_w = annihilation_operator(u, rep), annihilation_operator(w, rep)
@@ -653,37 +768,22 @@ def algebra_report(
         CheckResult("ccr_mixed", mixed, ALGEBRA_TOL),
     ]
 
-    # Lowering ladders rebuilt from first principles, looked up in the
-    # occupations rather than the index maps: sqrt(n_m) from n to n - e_m.
-    # No two modes lower a state to the same one, so one sum checks them all.
-    source, mode = np.nonzero(rep.occupations)
-    lowered = rep.occupations.astype(np.uint16)[source]
-    lowered[np.arange(source.size), mode] -= 1
-    amplitude = np.sqrt(rep.occupations[source, mode]).astype(complex)
-    direct = SparseOperand(_row_index(rep.occupations, lowered), source, amplitude)
-    lowering_dev = (annihilation_operator(np.ones(rep.d), rep)(identity) - direct).max_abs()
     # Unit vectors keep the pairing O(1), so its round-off does not grow with dim.
     vec_f = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     vec_g = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     vec_f /= np.linalg.norm(vec_f)
     vec_g /= np.linalg.norm(vec_g)
-    raised_f = c_u(SparseOperand.vector(vec_f)).to_vector(rep.dim)
-    lowered_g = a_u(SparseOperand.vector(vec_g)).to_vector(rep.dim)
-    pairing_dev = abs(np.vdot(raised_f, vec_g) - np.vdot(vec_f, lowered_g))
-    results.append(CheckResult("adjointness", max(lowering_dev, float(pairing_dev)), ALGEBRA_TOL))
-
-    counted = number_operator(rep) - SparseOperand.diagonal(rep.total_occupations())
-    results.append(CheckResult("number_operator", counted.max_abs(), ALGEBRA_TOL))
+    adjoint_dev = _adjointness_deviation(rep, c_u, a_u, vec_f, vec_g)
+    results.append(CheckResult("adjointness", adjoint_dev, ALGEBRA_TOL))
+    results.append(CheckResult("number_operator", _number_deviation(rep), ALGEBRA_TOL))
 
     # Random observables drawn inside the retained span, so the checks stay
     # valid when the quotient has discarded null directions.
     coeff_stack = np.stack([obs.coeffs for obs in context.observables], axis=1)
     span_basis = coeff_stack @ context.transform
     combo_real = LinearObservable(span_basis @ rng.normal(size=context.d))
-    op_real = field_operator(combo_real, context, rep)(identity)
-    results.append(
-        CheckResult("field_hermitian", (op_real - op_real.adjoint()).max_abs(), ALGEBRA_TOL)
-    )
+    op_real = field_operator(combo_real, context, rep)(SparseOperand.diagonal(np.ones(rep.dim)))
+    results.append(CheckResult("field_hermitian", op_real.hermitian_deviation(), ALGEBRA_TOL))
 
     mix = rng.normal(size=(2, context.d)) + 1j * rng.normal(size=(2, context.d))
     combo_a = LinearObservable(span_basis @ mix[0])

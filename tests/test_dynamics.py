@@ -453,6 +453,15 @@ class TestCoordinates:
         run(state, params, 50, [observer], every=10)
         assert len(seen) == 5 and max(seen) <= 1e-14
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_basis_of_no_rows_or_more_than_three_is_refused(self, k):
+        # a 0-row basis lifts to no phi, and the coordinate action unpacks
+        # three coordinates, so neither can make a state
+        basis = np.zeros((k, 8))
+        basis[:, 0] = 1.0
+        with pytest.raises(ValueError, match="1 to 3 rows"):
+            ExtendedState(basis, (), (), 1.0, 0.0, 0.0)
+
 
 def previous_reduced_steps(x, y, s, pi_s, s0, collective, dlambda, bath, n_steps):
     """The subspace step function before it carried s^2, 1/s, h s and one

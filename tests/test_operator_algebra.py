@@ -682,9 +682,8 @@ def reference_report(context, rep, rng_seed):
     span_basis = coeff_stack @ context.transform
     combo_real = LinearObservable(span_basis @ rng.normal(size=context.d))
     op_real = reference_field(combo_real, context, rep)(identity)
-    results.append(
-        ("field_hermitian", reference_max_abs(op_real - op_real.adjoint()), ALGEBRA_TOL)
-    )
+    adjoint = SparseOperand(op_real.cols, op_real.rows, op_real.values.conj())
+    results.append(("field_hermitian", reference_max_abs(op_real - adjoint), ALGEBRA_TOL))
 
     mix = rng.normal(size=(2, context.d)) + 1j * rng.normal(size=(2, context.d))
     combo_a = LinearObservable(span_basis @ mix[0])
@@ -846,6 +845,69 @@ class TestColumnRuns:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+def traced_peak(compute):
+    """The peak of memory traced while `compute()` runs, after one untraced
+    call that leaves any lazily built state in place."""
+    compute()
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneLadderMemory:
+    """Each check that applies a ladder to all columns of the identity, or
+    to a dense vector, holds its kept entries and O(dim) candidates; the
+    basis build, its tables.  At d = 30, n_max = 3 (dim 5456) each bound
+    lies between the peak measured here and the peak of the identity suite
+    when its ladders formed width x operand candidate arrays (quoted)."""
+
+    D, N_MAX = 30, 3
+
+    @pytest.fixture(scope="class")
+    def rep(self):
+        return FockRep.build(self.D, self.N_MAX)
+
+    def test_basis_build_holds_its_tables(self, rep):
+        # 1.06 x the tables, against 1.83 x with a (d * below, d) tile of
+        # raised rows and stacked amplitude copies
+        tables = rep.occupations.nbytes + rep._maps.nbytes + rep._amplitudes.nbytes
+        assert traced_peak(lambda: FockRep.build(self.D, self.N_MAX)) < 1.4 * tables
+
+    def test_field_hermiticity_holds_its_kept_entries(self, rep):
+        # 100 bytes per kept entry of the field operator, against 212 when
+        # the operator minus its adjoint was formed as a list of entries
+        context = random_context(self.D, 4)
+        field = field_operator(context.observables[0], context, rep)
+        kept = field(identity(rep)).rows.size
+        peak = traced_peak(lambda: field(identity(rep)).hermitian_deviation())
+        assert peak < 150 * kept
+
+    def test_adjointness_holds_its_kept_entries(self, rep):
+        # 0.20 x the tables, against 0.72 x with every mode's lowered rows
+        # at once and width x dim candidates for the vector pairing
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=self.D) + 1j * rng.normal(size=self.D)
+        vec_f, vec_g = rng.normal(size=(2, rep.dim)) + 1j * rng.normal(size=(2, rep.dim))
+        creation, annihilation = creation_operator(u, rep), annihilation_operator(u, rep)
+        peak = traced_peak(
+            lambda: operator_algebra._adjointness_deviation(
+                rep, creation, annihilation, vec_f, vec_g
+            )
+        )
+        tables = rep.occupations.nbytes + rep._maps.nbytes + rep._amplitudes.nbytes
+        assert peak < 0.4 * tables
+
+    def test_number_operator_check_holds_its_entries(self, rep):
+        # 66 bytes per entry of the number operator minus the diagonal,
+        # against 87 with a copy of each duplicate-sum operand
+        entries = number_operator(rep).rows.size + rep.dim
+        peak = traced_peak(lambda: operator_algebra._number_deviation(rep))
+        assert peak < 76 * entries
 
 
 def packet_gram(spacelike, timelike, lattice, cov):
