@@ -390,12 +390,10 @@ class SparseOperand:
         return _largest_sum(packed, self.values)
 
     def hermitian_deviation(self) -> float:
-        """Largest |matrix element| of the operand minus its adjoint, the
-        sum of its entries and of their transposes conjugated and negated.
-        The transposed entries take positions n .. 2n - 1 after the n
-        entries, as in the difference's list of entries, but that list is
-        never formed: one sort of the 2n packed keys pairs them (2n < 2^31
-        under the Fock limits, since n <= 2 d dim)."""
+        """Largest |matrix element| of the operand minus its adjoint.  The
+        adjoint's entries take positions n .. 2n - 1, as in the difference's
+        list of entries, which is never formed: one sort of the 2n packed
+        keys pairs them (2n < 2^31 under the Fock limits, as n <= 2 d dim)."""
         n = self.rows.size
         if n == 0:
             return 0.0
@@ -411,11 +409,10 @@ class SparseOperand:
 
 
 def _largest_sum(packed: np.ndarray, values: np.ndarray, adjoint_from: int | None = None) -> float:
-    """Largest |sum| over the entries of each key.  `packed` holds each
-    entry's key (< 2^32) shifted left by 31 bits over its position
-    (< 2^31), and is overwritten.  The entry at a position has the value
-    `values[position]` or, from position `adjoint_from` on, that of the
-    entry adjoint_from places before it conjugated and negated."""
+    """Largest |sum| over the entries of each key, where `packed` (which is
+    overwritten) holds key << 31 | position for each entry, and the entry
+    at a position has the value values[position], or from adjoint_from on,
+    -conj(values[position - adjoint_from])."""
     packed.sort()
     position = packed & (2**31 - 1)
     packed >>= 31
@@ -424,7 +421,7 @@ def _largest_sum(packed: np.ndarray, values: np.ndarray, adjoint_from: int | Non
     packed[0] = 0
     np.cumsum(starts, out=packed[1:])
     del starts
-    # the parts gathered in sorted order and summed one at a time
+    # real and imaginary parts gathered in sorted order, one at a time
     real = values.real.take(position, mode="wrap")
     if adjoint_from is not None:
         np.negative(real, out=real, where=position >= adjoint_from)
@@ -444,15 +441,13 @@ class LadderOperator:
     applied to a sparse operand from the left in O(d * nnz); raising out of
     the truncated space maps to zero.
 
-    A call forms one candidate entry per nonzero coefficient and operand
-    entry and stores only those whose step stays in the truncation.  The
-    candidates are formed in slices of whole coefficient rows, each of at
-    most PRODUCT_BLOCK_ENTRIES or dim candidates, or a single row: a
-    commutator run takes one pass, while the identity on all columns, or a
-    dense vector, is read a row or a few at a time, so no call holds more
-    than its kept entries and O(dim) candidates.  The kept entries come out
-    coefficient by coefficient, raising first, each in operand order, and
-    each is the same product whatever the slices."""
+    A call forms one candidate per nonzero coefficient and operand entry,
+    in slices of whole coefficient rows of at most max(PRODUCT_BLOCK_ENTRIES,
+    dim) candidates or one row, and stores only those whose step stays in
+    the truncation: a commutator run takes one pass, and the identity on all
+    columns or a dense vector holds its kept entries and O(dim) candidates.
+    The kept entries come coefficient by coefficient, raising first, each
+    in operand order."""
 
     rep: FockRep
     raising: np.ndarray
@@ -720,8 +715,7 @@ def _adjointness_deviation(
 
 
 def _number_deviation(rep: FockRep) -> float:
-    """Largest |matrix element| of the number operator minus the total
-    occupations on the diagonal."""
+    """Largest |matrix element| of the number operator minus diag(total)."""
     return (number_operator(rep) - SparseOperand.diagonal(rep.total_occupations())).max_abs()
 
 
