@@ -121,7 +121,7 @@ class ExtendedState:
     """Point of the variational phase space plus bookkeeping.
 
     The field and its momentum are held in the invariant subspace of their
-    trajectory (see the module docstring): `basis` is Q^T, k <= 3
+    trajectory (see the module docstring): `basis` is Q^T, 1 <= k <= 3
     orthonormal rows of length N, the first one 1/sqrt(N), and x and y are
     the coordinates of phi and pi_phi in it, three floats each, those past
     k zero.  s0 is the extended action recorded once at initialization;
